@@ -6,8 +6,10 @@ verifies the growth and probe-point estimates behind the construction,
 replays the contraction-obstruction chain, iterates the map on grids, and
 renders the results.
 
-Heavy per-pixel loops are JIT compiled; set BAKERLAB_DISABLE_NUMBA=1 to
-force the pure numpy fallback.
+All evaluation of the product goes through one arithmetic core in
+`_kernels`.  Its per-pixel loops are JIT compiled when the optional numba
+dependency imports (``pip install bakerlab[jit]``); without numba the same
+scalar code runs as plain Python and batches use a vectorized numpy path.
 """
 
 __version__ = "0.1.0"

@@ -1,25 +1,21 @@
-"""Hot numeric kernels: batch product-function evaluation and orbit classification.
+"""The one arithmetic core: the truncated product h, batch evaluation of it
+and orbit classification.
 
-Two interchangeable backends compute the same thing:
+`_h_point` is the only scalar definition of h.  It is compiled with numba
+(``@njit(nogil=True)``) when numba imports and runs as plain Python
+otherwise; `hfun.eval_h` wraps it for single points.  Batches go through
+the compiled scalar loops when numba imports and through a vectorized numpy
+path when it does not.  Per-pixel results are independent of how the input
+is batched, which is what makes row-parallel callers deterministic across
+thread counts.
 
-* a numba ``@njit(nogil=True)`` scalar-loop path (default when numba imports),
-* a vectorized pure-numpy path.
-
-Set ``BAKERLAB_DISABLE_NUMBA=1`` to force the numpy path; it is also selected
-automatically when numba is unavailable.  Per-pixel results are independent of
-how the input is batched, which is what makes row-parallel callers
-deterministic across thread counts.
-
-The scalar reference implementation of the same arithmetic lives in `hfun`
-(built on `logc`); tests cross-check the two.  The kernel path requires all
-degrees ``n_k < 2**53`` so that the compensated angle multiplication stays
-exact; the scalar path has no such limit.
+The compensated angle multiplication is exact only for degrees
+``n_k < 2**53``; `ParamSeq` enforces that bound.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -28,13 +24,9 @@ from .params import ParamSeq
 try:
     import numba
 
-    HAVE_NUMBA = True
+    NUMBA_ENABLED = True
 except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and os.environ.get(
-    "BAKERLAB_DISABLE_NUMBA", ""
-).strip().lower() not in {"1", "true", "yes"}
+    NUMBA_ENABLED = False
 
 _TWO_PI_HI = 6.283185307179586
 _TWO_PI_LO = 2.4492935982947064e-16
@@ -43,8 +35,8 @@ _EPS = 2.220446049250313e-16
 
 # |h| < ln 2 marks the near-zero-translation regime (e^h has modulus in [1/2, 2])
 LOG_LN2 = math.log(math.log(2.0))
-# beyond this log-modulus a value no longer fits a cartesian double comfortably
-CARTESIAN_CUTOFF = 700.0
+# a value whose log-modulus stays within this band is written in cartesian form
+CARTESIAN_BAND = 700.0
 
 
 def factor_snap_eps(n: int) -> float:
@@ -58,8 +50,6 @@ def factor_snap_eps(n: int) -> float:
 
 def prepared(p: ParamSeq) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-profile constant arrays (radii, degrees, log radii, snap tolerances)."""
-    if any(n >= (1 << 53) for n in p.n):
-        raise ValueError("kernel path requires all degrees n_k < 2**53")
     r = np.array(p.r, dtype=np.float64)
     nf = np.array(p.n, dtype=np.float64)
     logr = np.log(r)
@@ -67,8 +57,25 @@ def prepared(p: ParamSeq) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return r, nf, logr, eps
 
 
+def two_prod(a, b):
+    """Veltkamp/Dekker product: ``(hi, lo)`` with ``hi + lo == a * b`` exactly.
+
+    Works elementwise on arrays too.  Kernel output bytes depend on the
+    order of these operations.
+    """
+    hi = a * b
+    ah = _SPLITTER * a
+    ah = ah - (ah - a)
+    al = a - ah
+    bh = _SPLITTER * b
+    bh = bh - (bh - b)
+    bl = b - bh
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    return hi, lo
+
+
 # ---------------------------------------------------------------------------
-# scalar implementations (compiled with numba when enabled)
+# scalar implementations (compiled with numba when it imports)
 # ---------------------------------------------------------------------------
 
 if NUMBA_ENABLED:
@@ -81,18 +88,14 @@ else:
         return deco
 
 
+_two_prod = _jit(cache=True)(two_prod)  # the copy the scalar loops call
+
+
 @_jit(cache=True)
 def _reduce_dd(hi: float, lo: float) -> float:
     # reduce hi+lo mod 2*pi into (-pi, pi]; valid while |hi| < 2**53 * 2*pi
     q = round(hi / _TWO_PI_HI)
-    ph = q * _TWO_PI_HI
-    ah = _SPLITTER * q
-    ah = ah - (ah - q)
-    al = q - ah
-    bh = _SPLITTER * _TWO_PI_HI
-    bh = bh - (bh - _TWO_PI_HI)
-    bl = _TWO_PI_HI - bh
-    pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
+    ph, pl = _two_prod(q, _TWO_PI_HI)
     r = ((hi - ph) + lo) - pl - q * _TWO_PI_LO
     if r > math.pi:
         r -= _TWO_PI_HI
@@ -114,14 +117,7 @@ def _h_point(zx, zy, r, nf, logr, eps):
         n = nf[k]
         wlm = n * (lmz - logr[k])
         # compensated n*arg, then mod 2*pi
-        hi = n * agz
-        ah = _SPLITTER * n
-        ah = ah - (ah - n)
-        al = n - ah
-        bh = _SPLITTER * agz
-        bh = bh - (bh - agz)
-        bl = agz - bh
-        lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+        hi, lo = _two_prod(n, agz)
         wag = _reduce_dd(hi, lo)
         if abs(wlm) <= eps[k] and (math.pi - abs(wag)) <= eps[k]:
             return True, -math.inf, 0.0
@@ -187,7 +183,7 @@ def _classify_loop(zx, zy, r, nf, logr, eps, max_steps, escape_radius,
             if is0:
                 x = x + 1.0
             else:
-                if hlm <= CARTESIAN_CUTOFF:
+                if hlm <= CARTESIAN_BAND:
                     mod = math.exp(hlm)
                     re_h = mod * math.cos(hag)
                     im_h = mod * math.sin(hag)
@@ -195,7 +191,7 @@ def _classify_loop(zx, zy, r, nf, logr, eps, max_steps, escape_radius,
                     # phase of e^h unresolvable; only the sign of Re h matters
                     re_h = math.inf if math.cos(hag) >= 0.0 else -math.inf
                     im_h = 0.0
-                if re_h > CARTESIAN_CUTOFF:
+                if re_h > CARTESIAN_BAND:
                     st = 3 if nzt else 1
                     sp = s + 1
                     break
@@ -222,14 +218,7 @@ def _classify_loop(zx, zy, r, nf, logr, eps, max_steps, escape_radius,
 
 def _reduce_np(x, lo=0.0):
     q = np.rint(x / _TWO_PI_HI)
-    ah = _SPLITTER * q
-    ah = ah - (ah - q)
-    al = q - ah
-    bh = _SPLITTER * _TWO_PI_HI
-    bh = bh - (bh - _TWO_PI_HI)
-    bl = _TWO_PI_HI - bh
-    ph = q * _TWO_PI_HI
-    pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
+    ph, pl = two_prod(q, _TWO_PI_HI)
     r = ((x - ph) + lo) - pl - q * _TWO_PI_LO
     r = np.where(r > math.pi, r - _TWO_PI_HI, r)
     r = np.where(r <= -math.pi, r + _TWO_PI_HI, r)
@@ -246,14 +235,7 @@ def _h_field_numpy(zx, zy, r, nf, logr, eps):
         for k in range(len(r)):
             n = nf[k]
             wlm = n * (lmz - logr[k])
-            hi = n * agz
-            ah = _SPLITTER * n
-            ah = ah - (ah - n)
-            al = n - ah
-            bh = _SPLITTER * agz
-            bh = bh - (bh - agz)
-            bl = agz - bh
-            lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+            hi, lo = two_prod(n, agz)
             wag = _reduce_np(hi, lo)
             zero |= (np.abs(wlm) <= eps[k]) & ((math.pi - np.abs(wag)) <= eps[k])
 
@@ -314,7 +296,7 @@ def _classify_numpy(zx, zy, r, nf, logr, eps, max_steps, escape_radius):
         nzt[idx[fresh]] = True
         nzt_step[idx[fresh]] = s
         with np.errstate(over="ignore", invalid="ignore"):
-            big = hlm > CARTESIAN_CUTOFF
+            big = hlm > CARTESIAN_BAND
             mod = np.exp(np.where(big | is0, 0.0, hlm))
             re_h = np.where(
                 big,
@@ -324,7 +306,7 @@ def _classify_numpy(zx, zy, r, nf, logr, eps, max_steps, escape_radius):
             im_h = np.where(big, 0.0, mod * np.sin(hag))
             re_h = np.where(is0, 0.0, re_h)
             im_h = np.where(is0, 0.0, im_h)
-            esc_log = re_h > CARTESIAN_CUTOFF
+            esc_log = re_h > CARTESIAN_BAND
             emod = np.exp(np.where(esc_log, 0.0, re_h))
             ia = _reduce_np(np.where(esc_log, 0.0, im_h))
             nx = np.where(is0, ax + 1.0, ax + emod * np.cos(ia))
@@ -348,20 +330,11 @@ def _classify_numpy(zx, zy, r, nf, logr, eps, max_steps, escape_radius):
 
 
 def active_backend() -> str:
+    """The batch path in use: "numba" when numba imports, else "numpy"."""
     return "numba" if NUMBA_ENABLED else "numpy"
 
 
-def _resolve(backend: str | None) -> str:
-    if backend is None:
-        return active_backend()
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not NUMBA_ENABLED:
-        raise RuntimeError("numba backend requested but not enabled")
-    return backend
-
-
-def h_field(zx, zy, p: ParamSeq, backend: str | None = None):
+def h_field(zx, zy, p: ParamSeq):
     """Evaluate the truncated product at each point ``zx[i] + i*zy[i]``.
 
     Returns ``(code, logmod, arg)``: code 1 flags exact (snapped) zeros,
@@ -370,7 +343,7 @@ def h_field(zx, zy, p: ParamSeq, backend: str | None = None):
     zx = np.ascontiguousarray(zx, dtype=np.float64)
     zy = np.ascontiguousarray(zy, dtype=np.float64)
     r, nf, logr, eps = prepared(p)
-    if _resolve(backend) == "numpy":
+    if not NUMBA_ENABLED:
         return _h_field_numpy(zx, zy, r, nf, logr, eps)
     code = np.empty(zx.shape[0], dtype=np.uint8)
     lm = np.empty(zx.shape[0], dtype=np.float64)
@@ -379,18 +352,19 @@ def h_field(zx, zy, p: ParamSeq, backend: str | None = None):
     return code, lm, ag
 
 
-def classify_field(zx, zy, p: ParamSeq, max_steps: int, escape_radius: float,
-                   backend: str | None = None):
+def classify_field(zx, zy, p: ParamSeq, max_steps: int, escape_radius: float):
     """Orbit classification for each start point.
 
     Status codes: 0 bounded-so-far, 1 escaped, 2 near-zero-translation seen
     (still bounded), 3 escaped after a near-zero-translation phase.  ``step``
     is the first escape index for 1/3, the first flag index for 2, else 0.
     """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     zx = np.ascontiguousarray(zx, dtype=np.float64)
     zy = np.ascontiguousarray(zy, dtype=np.float64)
     r, nf, logr, eps = prepared(p)
-    if _resolve(backend) == "numpy":
+    if not NUMBA_ENABLED:
         return _classify_numpy(zx, zy, r, nf, logr, eps, max_steps, escape_radius)
     status = np.empty(zx.shape[0], dtype=np.uint8)
     step = np.empty(zx.shape[0], dtype=np.uint32)

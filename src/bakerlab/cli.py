@@ -15,6 +15,7 @@ from dataclasses import asdict, is_dataclass
 from typing import Any, Optional
 
 from . import __version__
+from .hfun import NonConvergence
 from .logc import LogComplex, Zero
 from .params import ParamSeq, load_params, make_toy, params_to_json, validate_1b
 
@@ -414,7 +415,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, IndexError, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

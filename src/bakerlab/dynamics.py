@@ -24,8 +24,6 @@ from .hfun import eval_f, eval_h
 from .logc import LogComplex, Zero
 from .params import ParamSeq, params_digest, params_to_json
 
-LOG_LN2 = math.log(math.log(2.0))
-
 GRID_MAGIC = b"BKGRID1"
 
 STATUS_BOUNDED = 0
@@ -154,43 +152,51 @@ def _row_bands(ny: int, parts: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def classify_grid(rect: tuple[complex, complex], nx: int, ny: int,
-                  p: ParamSeq, max_steps: int = 64,
-                  escape_radius: Optional[float] = None,
-                  threads: Optional[int] = None,
-                  backend: Optional[str] = None) -> Grid:
-    """Per-pixel orbit classification over a rectangle.
+def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
+                  threads: Optional[int], band_fn) -> list:
+    """Sample rect on an nx-by-ny pixel grid and evaluate it in row bands.
 
     rect is any two opposite corners; a degenerate rectangle collapses to a
-    single sample at that point.
+    single sample at that point.  ``band_fn(zx, zy)`` receives one band's
+    pixels as flat row-major coordinates; its results come back in band
+    order, so concatenating them gives the grid row-major.  With more than
+    one band each runs on its own pool thread.
     """
     if nx < 1 or ny < 1:
         raise ValueError("grid dimensions must be >= 1")
-    if escape_radius is None:
-        escape_radius = default_escape_radius(p)
     z0, z1 = complex(rect[0]), complex(rect[1])
     xs = axis_coords(min(z0.real, z1.real), max(z0.real, z1.real), nx)
     ys = axis_coords(min(z0.imag, z1.imag), max(z0.imag, z1.imag), ny)
-    status = np.empty((ny, nx), dtype=np.uint8)
-    step = np.empty((ny, nx), dtype=np.uint32)
-    nthreads = resolve_threads(threads)
 
     def run_band(band):
         a, b = band
         gy, gx = np.meshgrid(ys[a:b], xs, indexing="ij")
-        st, sp = _kernels.classify_field(
-            gx.ravel(), gy.ravel(), p, max_steps, escape_radius,
-            backend=backend)
-        status[a:b] = st.reshape(b - a, nx)
-        step[a:b] = sp.reshape(b - a, nx)
+        return band_fn(gx.ravel(), gy.ravel())
 
-    bands = _row_bands(ny, nthreads)
-    if nthreads == 1 or len(bands) == 1:
-        for band in bands:
-            run_band(band)
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(run_band, bands))
+    bands = _row_bands(ny, resolve_threads(threads))
+    if len(bands) == 1:
+        return [run_band(bands[0])]
+    with ThreadPoolExecutor(max_workers=len(bands)) as pool:
+        return list(pool.map(run_band, bands))
+
+
+def classify_grid(rect: tuple[complex, complex], nx: int, ny: int,
+                  p: ParamSeq, max_steps: int = 64,
+                  escape_radius: Optional[float] = None,
+                  threads: Optional[int] = None) -> Grid:
+    """Per-pixel orbit classification over a rectangle (see `run_row_bands`
+    for the sampling)."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    if escape_radius is None:
+        escape_radius = default_escape_radius(p)
+
+    def band(zx, zy):
+        return _kernels.classify_field(zx, zy, p, max_steps, escape_radius)
+
+    parts = run_row_bands(rect, nx, ny, threads, band)
+    status = np.concatenate([st for st, _ in parts]).reshape(ny, nx)
+    step = np.concatenate([sp for _, sp in parts]).reshape(ny, nx)
     return Grid(nx=nx, ny=ny, status=status, step=step,
                 digest=params_digest(p))
 

@@ -1,9 +1,11 @@
 """Evaluation of the truncated product h, the map f = z + e^h, its zeros and
 probe points, the angle function theta, and the Newton companion g.
 
-Scalar evaluation goes through `logc` so that powers with degrees up to ~10^9
-and values like e^{h} with Re h ~ 10^16 stay representable.  The quadrature
-behind g batches integrand evaluations through the `_kernels` backends.
+`eval_h` wraps the scalar core `_kernels._h_point`, which works in log-polar
+form so that powers with degrees up to ~10^9 stay exact in angle; results
+leave cartesian range as `logc.LogComplex`, so values like e^{h} with
+Re h ~ 10^16 stay representable.  The quadrature behind g batches integrand
+evaluations through `_kernels.h_field`.
 """
 
 from __future__ import annotations
@@ -16,29 +18,17 @@ from typing import Union
 import numpy as np
 
 from . import _kernels
-from .logc import (
-    ZERO,
-    LogComplex,
-    MaybeZeroLC,
-    Zero,
-    lc_add_one,
-    lc_from_cartesian,
-    lc_mul,
-    lc_pow_int,
-    ONE,
-    reduce_angle,
-)
+from ._kernels import CARTESIAN_BAND
+from .logc import CARTESIAN_LOGMOD_MAX, ZERO, LogComplex, Zero, reduce_angle
 from .params import ParamSeq, derive
 
 E = math.e
 TWO_PI = 2.0 * math.pi
 
-# a value whose log-modulus stays within this band is returned in cartesian form
-CARTESIAN_BAND = 700.0
-
 
 class NonConvergence(ArithmeticError):
-    """Adaptive quadrature exceeded its subdivision depth limit."""
+    """Adaptive quadrature failed: the integrand left double range or the
+    subdivision depth limit was reached."""
 
 
 @dataclass(frozen=True)
@@ -89,31 +79,23 @@ def _trunc_bound(z: complex, p: ParamSeq) -> tuple[float, bool]:
 def eval_h(z: complex, p: ParamSeq) -> EvalResult:
     """Truncated product over the stored factors, with tail bound.
 
-    Factors whose power lands within the snap tolerance of -1 yield the exact
-    Zero; this is what makes the downstream identity f(a) = a + 1 bitwise.
+    The value comes from the scalar core `_kernels._h_point`.  Factors whose
+    power lands within the snap tolerance of -1 yield the exact Zero; this is
+    what makes the downstream identity f(a) = a + 1 bitwise.
     """
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"non-finite input ({z.real}, {z.imag})")
     bound, unbounded = _trunc_bound(z, p)
-    zl = lc_from_cartesian(z.real, z.imag)
-    if isinstance(zl, Zero):
-        return EvalResult(complex(1.0, 0.0), bound, "exact-ish", unbounded)
-    acc: MaybeZeroLC = ONE
-    for r_k, n_k in zip(p.r, p.n):
-        base = lc_mul(zl, LogComplex(-math.log(r_k), 0.0))
-        w = lc_pow_int(base, n_k)
-        if not isinstance(w, Zero):
-            eps = _kernels.factor_snap_eps(n_k)
-            if abs(w.logmod) <= eps and (math.pi - abs(w.arg)) <= eps:
-                return EvalResult(ZERO, bound, "exact-ish", unbounded)
-        factor = lc_add_one(w)
-        acc = lc_mul(acc, factor)
-        if isinstance(acc, Zero):
-            return EvalResult(ZERO, bound, "exact-ish", unbounded)
-    if abs(acc.logmod) <= CARTESIAN_BAND:
-        mod = math.exp(acc.logmod)
-        value = complex(mod * math.cos(acc.arg), mod * math.sin(acc.arg))
+    is0, lm, ag = _kernels._h_point(z.real, z.imag, *_kernels.prepared(p))
+    if is0:
+        return EvalResult(ZERO, bound, "exact-ish", unbounded)
+    if abs(lm) <= CARTESIAN_BAND:
+        mod = math.exp(lm)
+        value = complex(mod * math.cos(ag), mod * math.sin(ag))
         return EvalResult(value, bound, "exact-ish", unbounded)
-    return EvalResult(acc, bound, "escaped", unbounded)
+    return EvalResult(LogComplex(float(lm), float(ag)), bound, "escaped",
+                      unbounded)
 
 
 def eval_f(z: complex, p: ParamSeq,
@@ -245,12 +227,13 @@ _MAX_DEPTH = 30
 def _integrand_exp_neg_h(ts: np.ndarray, p: ParamSeq) -> np.ndarray:
     # e^{-h} at a batch of points; exact zeros of h give exactly 1
     code, lm, ag = _kernels.h_field(ts.real, ts.imag, p)
-    if np.any((lm > CARTESIAN_BAND) & (np.cos(ag) < 0.0)):
-        raise NonConvergence("integrand overflow: Re h below -exp range")
     big = lm > CARTESIAN_BAND
     mod = np.exp(np.where(big, 0.0, lm))
     h = mod * np.cos(ag) + 1j * mod * np.sin(ag)
     h = np.where(code == 1, 0.0, h)
+    # e^{-h} overflows once Re h < -CARTESIAN_LOGMOD_MAX, whatever |h| is
+    if np.any((big & (np.cos(ag) < 0.0)) | (h.real < -CARTESIAN_LOGMOD_MAX)):
+        raise NonConvergence("integrand overflow: Re h below -exp range")
     out = np.exp(-h)
     return np.where(big, 0.0, out)
 

@@ -1,11 +1,12 @@
-"""Overflow-safe complex arithmetic in log-polar form.
+"""Value types for overflow-safe complex results in log-polar form.
 
 A nonzero complex number is stored as ``(logmod, arg)`` where ``logmod`` is
 the natural log of its modulus and ``arg`` its argument in ``(-pi, pi]``.
 This survives magnitudes like ``exp(1e16)`` that no binary float can hold in
 cartesian form.  Exact zeros are a separate tag (`ZERO`), not ``logmod=-inf``:
-the product function evaluated here has exact zeros that must propagate
-exactly (they make the iteration map act as ``z -> z + 1``).
+the product function has exact zeros that must propagate exactly (they make
+the iteration map act as ``z -> z + 1``).  The arithmetic that produces these
+values lives in `_kernels`.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ __all__ = [
     "LogComplex",
     "Zero",
     "ZERO",
-    "ONE",
-    "OverflowSignal",
-    "lc_from_cartesian",
-    "lc_to_cartesian",
-    "lc_mul",
-    "lc_add_one",
     "lc_pow_int",
-    "lc_exp",
     "wrap_angle",
     "reduce_angle",
 ]
@@ -100,79 +94,6 @@ class LogComplex:
         return LogComplex(self.logmod, a if a == math.pi else -a)
 
 
-ONE = LogComplex(0.0, 0.0)
-
-MaybeZeroLC = "Zero | LogComplex"  # documentation alias
-
-
-@dataclass(frozen=True)
-class OverflowSignal:
-    """Classification returned when a value cannot be written in cartesian form.
-
-    Not an error: it carries the log-polar value unchanged.
-    """
-
-    value: LogComplex
-
-
-def lc_from_cartesian(x: float, y: float) -> Zero | LogComplex:
-    """Log-polar form of ``x + iy``; `ZERO` iff both parts are zero."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"non-finite input ({x}, {y})")
-    if x == 0.0 and y == 0.0:
-        return ZERO
-    return LogComplex(math.log(math.hypot(x, y)), math.atan2(y, x))
-
-
-def lc_to_cartesian(v: Zero | LogComplex) -> complex | OverflowSignal:
-    """Convert back to a complex double, or signal that the modulus overflows."""
-    if isinstance(v, Zero):
-        return 0j
-    if v.logmod > CARTESIAN_LOGMOD_MAX:
-        return OverflowSignal(v)
-    mod = math.exp(v.logmod)
-    return complex(mod * math.cos(v.arg), mod * math.sin(v.arg))
-
-
-def lc_mul(a: Zero | LogComplex, b: Zero | LogComplex) -> Zero | LogComplex:
-    """Multiply; `ZERO` absorbs."""
-    if isinstance(a, Zero) or isinstance(b, Zero):
-        return ZERO
-    return LogComplex(a.logmod + b.logmod, wrap_angle(a.arg + b.arg))
-
-
-def lc_add_one(v: Zero | LogComplex, cutoff: float = 50.0) -> Zero | LogComplex:
-    """Compute ``1 + v`` stably across three magnitude regimes.
-
-    ``logmod <= -cutoff``: series around 1 via log1p; ``logmod >= cutoff``:
-    expansion around v; otherwise plain cartesian addition.  The exact value
-    -1 maps to `ZERO`.
-    """
-    if isinstance(v, Zero):
-        return ONE
-    lm, a = v.logmod, v.arg
-    if lm == 0.0 and a == math.pi:
-        return ZERO
-    if lm <= -cutoff:
-        t = math.exp(lm)  # may underflow to 0: then 1 + v == 1 in doubles
-        return LogComplex(
-            0.5 * math.log1p(t * (2.0 * math.cos(a) + t)),
-            math.atan2(t * math.sin(a), 1.0 + t * math.cos(a)),
-        )
-    if lm >= cutoff:
-        u = math.exp(-lm)
-        return LogComplex(
-            lm + 0.5 * math.log1p(u * (2.0 * math.cos(a) + u)),
-            wrap_angle(a + math.atan2(-u * math.sin(a), 1.0 + u * math.cos(a))),
-        )
-    mod = math.exp(lm)
-    x = 1.0 + mod * math.cos(a)
-    y = mod * math.sin(a)
-    if x == 0.0 and y == 0.0:
-        return ZERO
-    return LogComplex(math.log(math.hypot(x, y)), math.atan2(y, x))
-
-
 def lc_pow_int(v: Zero | LogComplex, n: int) -> Zero | LogComplex:
     """Raise to a nonnegative integer power up to 63 bits.
 
@@ -183,18 +104,13 @@ def lc_pow_int(v: Zero | LogComplex, n: int) -> Zero | LogComplex:
     """
     if not isinstance(n, int) or n < 0 or n >= (1 << 63):
         raise ValueError(f"exponent must be a nonnegative 63-bit integer, got {n!r}")
-    if isinstance(v, Zero):
-        return ONE if n == 0 else ZERO
     if n == 0:
-        return ONE
+        return LogComplex(0.0, 0.0)
+    if isinstance(v, Zero):
+        return ZERO
     if n == 1:
         return v
     va = Fraction(v.arg) * n
     q = math.ceil(va / _TWO_PI_FRAC - _HALF)
     arg = wrap_angle(float(va - q * _TWO_PI_FRAC))
     return LogComplex(v.logmod * n, arg)
-
-
-def lc_exp(hval: complex) -> LogComplex:
-    """``exp(hval)`` in log-polar form: logmod is Re hval, arg is Im hval reduced."""
-    return LogComplex(hval.real, reduce_angle(hval.imag))

@@ -1,7 +1,8 @@
 """Parameter sequences for the infinite product and their derived quantities.
 
 A `ParamSeq` holds the stored prefix of the two defining sequences: the radii
-``r_k`` (strictly increasing) and the factor degrees ``n_k`` (``n_k >= k``).
+``r_k`` (strictly increasing) and the factor degrees ``n_k``
+(``k <= n_k < 2**53``).
 `derive` produces the cumulative degrees ``m_k``, the probe radii
 ``s_k = (1 + 1/n_k) r_k``, and the leading scale ``T_k`` on ``|z| = s_k``,
 stored in log form because it overflows doubles for steep profiles.
@@ -51,8 +52,11 @@ class ParamSeq:
         if any(b <= a for a, b in zip(self.r, self.r[1:])):
             raise ValueError("radii must be strictly increasing")
         for k, nk in enumerate(self.n, start=1):
-            if not isinstance(nk, int) or nk < k:
-                raise ValueError(f"degree n_{k}={nk!r} violates n_k >= k")
+            if not isinstance(nk, int) or isinstance(nk, bool) or nk < k:
+                raise ValueError(f"degree n_{k}={nk!r} is not an integer >= {k}")
+            if nk >= 1 << 53:
+                # the compensated n*arg product is exact only below 2**53
+                raise ValueError(f"degree n_{k}={nk} is not below 2**53")
 
     @property
     def K(self) -> int:

@@ -10,20 +10,12 @@ rectangles symmetric about the real axis are mirror-symmetric byte for byte
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .dynamics import (
-    Grid,
-    STATUS_BOUNDED,
-    STATUS_ESCAPED,
-    axis_coords,
-    resolve_threads,
-    _row_bands,
-)
+from .dynamics import Grid, STATUS_ESCAPED, run_row_bands
 from .params import ParamSeq
 
 
@@ -87,31 +79,13 @@ def phase_shade(logmod: np.ndarray, arg: np.ndarray) -> np.ndarray:
 
 
 def render_phase(rect: tuple[complex, complex], nx: int, ny: int,
-                 p: ParamSeq, threads: Optional[int] = None,
-                 backend: Optional[str] = None) -> bytes:
-    """Phase portrait of the product function over a rectangle."""
-    if nx < 1 or ny < 1:
-        raise ValueError("image dimensions must be >= 1")
-    z0, z1 = complex(rect[0]), complex(rect[1])
-    xs = axis_coords(min(z0.real, z1.real), max(z0.real, z1.real), nx)
-    ys = axis_coords(min(z0.imag, z1.imag), max(z0.imag, z1.imag), ny)
-    pixels = np.empty((ny, nx, 3), dtype=np.uint8)
-    nthreads = resolve_threads(threads)
+                 p: ParamSeq, threads: Optional[int] = None) -> bytes:
+    """Phase portrait of the product function over a rectangle (see
+    `dynamics.run_row_bands` for the sampling)."""
 
-    def run_band(band):
-        a, b = band
-        gy, gx = np.meshgrid(ys[a:b], xs, indexing="ij")
-        code, lm, ag = _kernels.h_field(gx.ravel(), gy.ravel(), p,
-                                        backend=backend)
-        lm = lm.reshape(b - a, nx)
-        ag = ag.reshape(b - a, nx)
-        pixels[a:b] = phase_shade(lm, ag)
+    def band(zx, zy):
+        code, lm, ag = _kernels.h_field(zx, zy, p)
+        return phase_shade(lm, ag)
 
-    bands = _row_bands(ny, nthreads)
-    if nthreads == 1 or len(bands) == 1:
-        for band in bands:
-            run_band(band)
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(run_band, bands))
-    return ppm_bytes(pixels)
+    parts = run_row_bands(rect, nx, ny, threads, band)
+    return ppm_bytes(np.concatenate(parts).reshape(ny, nx, 3))

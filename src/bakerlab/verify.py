@@ -1,7 +1,7 @@
 """Numeric verification of the growth estimates on the product rings and the
 replay of the obstruction inequality chain at a chosen ring index.
 
-Sampling routines batch through the `_kernels` backends; reports carry raw
+Sampling routines batch through `_kernels.h_field`; reports carry raw
 numbers and per-inequality flags rather than asserting, since several
 estimates are asymptotic in k and a desk-scale profile may sit outside the
 regime where they kick in.
@@ -24,8 +24,6 @@ from .params import ParamSeq, derive
 
 E = math.e
 TWO_PI = 2.0 * math.pi
-
-_SPLITTER = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -168,22 +166,10 @@ def verify_2c(p: ParamSeq, k: int, max_probes: int = 4096) -> list[ProbeRatio]:
             for nu, rh, ra in zip(nus, re_h, ratio)]
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    hi = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-    return hi, lo
-
-
 def split_sector(n_k: int, t_k: float) -> tuple[int, float]:
     """nu and delta with n_k t_k = nu + delta, delta in [0,1), computed with a
     compensated product so large n_k does not wash out delta."""
-    hi, lo = _two_prod(float(n_k), t_k)
+    hi, lo = _kernels.two_prod(float(n_k), t_k)
     fl = math.floor(hi)
     frac = (hi - fl) + lo
     if frac >= 1.0:

@@ -81,6 +81,39 @@ def test_eval_g(capsys):
     assert lines[0]["value"]["re"] == pytest.approx(0.71240485, abs=1e-6)
 
 
+def test_eval_g_integrand_overflow_is_config_error(capsys):
+    # Re h falls below -709.78 on this segment while log|h| stays small
+    code, lines, err = run_cli(capsys, "eval", "--profile", "doubling",
+                               "--z", "0,9", "--what", "g")
+    assert code == 2
+    assert lines == []
+    assert err.startswith("error: integrand overflow") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [[True, 2], [1, 1 << 53]],
+                         ids=["bool", "2**53"])
+@pytest.mark.parametrize("argv", [
+    ["params"], ["eval", "--z", "1,0"],
+    ["grid", "--rect=-1,-1,1,1", "--nx", "2", "--ny", "2"],
+], ids=["params", "eval", "grid"])
+def test_inadmissible_degrees_are_config_errors(capsys, tmp_path, argv, n):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"r": [2.0, 4.0], "n": n}))
+    extra = ["--out", str(tmp_path / "g.bkg")] if argv[0] == "grid" else []
+    code, lines, err = run_cli(capsys, *argv, "--params", str(path), *extra)
+    assert code == 2
+    assert lines == [] and "error" in err
+
+
+def test_grid_rejects_zero_steps(capsys, tmp_path):
+    gpath = tmp_path / "g.bkg"
+    code, lines, err = run_cli(capsys, "grid", "--profile", "doubling",
+                               "--rect=-1,-1,1,1", "--nx", "2", "--ny", "2",
+                               "--steps", "0", "--out", str(gpath))
+    assert code == 2
+    assert not gpath.exists() and "max_steps" in err
+
+
 def test_bad_complex_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--profile", "doubling", "--z", "one+two"])

@@ -1,28 +1,34 @@
-"""Log-polar arithmetic: exact tags, angle reduction, regime switches."""
+"""Log-polar values: exact tags, angle reduction, and the regime switches of
+the 1 + w step in the arithmetic core."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
+from bakerlab import _kernels
 from bakerlab.logc import (
-    CARTESIAN_LOGMOD_MAX,
     LogComplex,
-    ONE,
-    OverflowSignal,
     ZERO,
     Zero,
-    lc_add_one,
-    lc_exp,
-    lc_from_cartesian,
-    lc_mul,
     lc_pow_int,
-    lc_to_cartesian,
     reduce_angle,
     wrap_angle,
 )
+from bakerlab.params import ParamSeq
 
 from _oracles import reduce_angle_ref
+
+
+def _one_plus(z, r=1.0):
+    """1 + z/r through the core, as the one-factor product with n = 1.
+
+    With n = 1 the factor w = z/r reaches the 1 + w step with the argument
+    of z unchanged, so this drives that step directly.
+    """
+    is0, lm, ag = _kernels._h_point(z.real, z.imag,
+                                    *_kernels.prepared(ParamSeq((r,), (1,))))
+    return ZERO if is0 else LogComplex(float(lm), float(ag))
 
 
 def test_wrap_angle_half_open_interval():
@@ -53,49 +59,20 @@ def test_logcomplex_normalizes_angle_on_construction():
     assert v.arg == reduce_angle(100.0)
 
 
-def test_cartesian_roundtrip():
-    # relative roundtrip error grows with |logmod| (exp amplifies the
-    # rounding of the stored log), so scale the budget accordingly
-    for z in [1 + 1j, -3.5 + 0.25j, 1e-200 - 1e-201j, 2e300 + 1e299j]:
-        v = lc_from_cartesian(z.real, z.imag)
-        back = lc_to_cartesian(v)
-        assert isinstance(back, complex)
-        budget = 2.3e-16 * (2.0 + abs(v.logmod)) * abs(z)
-        assert abs(back - z) <= budget
-
-
 def test_zero_tag_roundtrip_and_absorption():
-    assert isinstance(lc_from_cartesian(0.0, 0.0), Zero)
-    assert lc_to_cartesian(ZERO) == 0
-    v = LogComplex(2.0, 0.3)
-    assert isinstance(lc_mul(v, ZERO), Zero)
-    assert isinstance(lc_mul(ZERO, v), Zero)
-    assert lc_add_one(ZERO) == ONE
+    # the core hands an exact zero back as the tag, never as logmod=-inf
+    assert _one_plus(complex(-2.0, 0.0), r=2.0) == ZERO
+    assert ZERO == Zero() and hash(ZERO) == hash(Zero())
+    assert ZERO != LogComplex(0.0, 0.0)
     assert isinstance(lc_pow_int(ZERO, 5), Zero)
-    assert lc_pow_int(ZERO, 0) == ONE
-
-
-def test_overflow_signal_beyond_double_range():
-    big = LogComplex(1e4, 0.1)
-    out = lc_to_cartesian(big)
-    assert isinstance(out, OverflowSignal)
-    assert 709.0 < CARTESIAN_LOGMOD_MAX < 710.0
-
-
-def test_mul_adds_logs_and_wraps():
-    a = LogComplex(3.0, 3.0)
-    b = LogComplex(-1.0, 1.0)
-    c = lc_mul(a, b)
-    assert c.logmod == 2.0
-    assert c.arg == pytest.approx(4.0 - 2.0 * math.pi, abs=1e-15)
+    assert lc_pow_int(ZERO, 0) == LogComplex(0.0, 0.0)
 
 
 @pytest.mark.parametrize("z", [
     0.5 + 0.25j, -0.999 + 1e-3j, 3 - 4j, -1.0 + 0.1j, 1e-8 + 1e-8j,
 ])
 def test_add_one_central_regime_matches_complex(z):
-    v = lc_from_cartesian(z.real, z.imag)
-    w = lc_add_one(v)
+    w = _one_plus(z)
     expect = 1 + z
     # near-cancellation (z close to -1) legitimately amplifies the stored
     # rounding of v by |z| / |1+z|
@@ -107,28 +84,33 @@ def test_add_one_central_regime_matches_complex(z):
 
 def test_add_one_tiny_regime_log1p_accuracy():
     # |v| = e^-80: naive cartesian 1+v would round the log to 0
-    v = LogComplex(-80.0, 1.0)
-    w = lc_add_one(v)
     t = math.exp(-80.0)
+    w = _one_plus(complex(t * math.cos(1.0), t * math.sin(1.0)))
     assert w.logmod == pytest.approx(t * math.cos(1.0), rel=1e-12)
     assert w.arg == pytest.approx(t * math.sin(1.0), rel=1e-12)
 
 
 def test_add_one_huge_regime_keeps_relative_structure():
-    v = LogComplex(900.0, 2.0)  # overflows as a double
-    w = lc_add_one(v)
-    u = math.exp(-900.0)
-    assert w.logmod == pytest.approx(900.0 + u * math.cos(2.0), abs=1e-15)
-    assert w.arg == pytest.approx(2.0 - u * math.sin(2.0), abs=1e-15)
+    # |w| = |z|/r ~ e^900 overflows as a double; only z and r are stored
+    r = 2.0 ** -1000
+    mod = math.exp(900.0 + math.log(r))
+    z = complex(mod * math.cos(2.0), mod * math.sin(2.0))
+    w = _one_plus(z, r)
+    wlm = math.log(abs(z)) - math.log(r)
+    wag = math.atan2(z.imag, z.real)
+    assert wlm == pytest.approx(900.0, abs=1e-12)
+    u = math.exp(-wlm)
+    assert w.logmod == pytest.approx(wlm + u * math.cos(wag), abs=1e-15)
+    assert w.arg == pytest.approx(wag - u * math.sin(wag), abs=1e-15)
 
 
 def test_add_one_exact_minus_one_gives_zero():
-    assert isinstance(lc_add_one(LogComplex(0.0, math.pi)), Zero)
+    assert isinstance(_one_plus(complex(-1.0, 0.0)), Zero)
 
 
 def test_pow_int_small_cases():
-    v = lc_from_cartesian(1.0, 1.0)
-    assert lc_pow_int(v, 0) == ONE
+    v = LogComplex(0.5 * math.log(2.0), math.atan2(1.0, 1.0))
+    assert lc_pow_int(v, 0) == LogComplex(0.0, 0.0)
     assert lc_pow_int(v, 1) == v
     sq = lc_pow_int(v, 2)
     assert sq.logmod == pytest.approx(math.log(2.0), abs=1e-15)
@@ -160,9 +142,3 @@ def test_pow_int_rejects_bad_exponents():
         lc_pow_int(v, 1 << 63)
     with pytest.raises(ValueError):
         lc_pow_int(v, 2.0)
-
-
-def test_exp_of_complex_exponent():
-    w = lc_exp(complex(3.0, 1e9))
-    assert w.logmod == 3.0
-    assert w.arg == reduce_angle(1e9)

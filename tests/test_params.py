@@ -108,6 +108,14 @@ def test_paramseq_validation_errors():
         ParamSeq(r=(-2.0,), n=(2,))
     with pytest.raises(ValueError):
         ParamSeq(r=(4.0, 2.0), n=(1, 2))  # radii must increase
+    with pytest.raises(ValueError):
+        ParamSeq(r=(2.0, 4.0), n=(True, 2))  # bool is not a degree
+
+
+def test_paramseq_rejects_degrees_beyond_double_exactness():
+    assert ParamSeq(r=(2.0, 4.0), n=(1, (1 << 53) - 1)).n[1] == (1 << 53) - 1
+    with pytest.raises(ValueError):
+        ParamSeq(r=(2.0, 4.0), n=(1, 1 << 53))
 
 
 def test_canonical_json_and_digest_are_stable():
