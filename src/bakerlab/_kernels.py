@@ -15,6 +15,7 @@ The compensated angle multiplication is exact only for degrees
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,12 +49,18 @@ def factor_snap_eps(n: int) -> float:
     return max(1e-13, 64.0 * _EPS * n)
 
 
+@functools.lru_cache(maxsize=64)
 def prepared(p: ParamSeq) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-profile constant arrays (radii, degrees, log radii, snap tolerances)."""
+    """Per-profile constant arrays (radii, degrees, log radii, snap tolerances).
+
+    Built once per profile and shared between callers, so they are read-only.
+    """
     r = np.array(p.r, dtype=np.float64)
     nf = np.array(p.n, dtype=np.float64)
     logr = np.log(r)
     eps = np.array([factor_snap_eps(n) for n in p.n], dtype=np.float64)
+    for a in (r, nf, logr, eps):
+        a.flags.writeable = False
     return r, nf, logr, eps
 
 

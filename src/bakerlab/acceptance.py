@@ -19,6 +19,7 @@ import numpy as np
 from . import _kernels
 from .dynamics import classify_grid
 from .hfun import (
+    E,
     eval_f,
     eval_g,
     eval_h,
@@ -28,20 +29,11 @@ from .hfun import (
     stored_zeros,
     theta,
 )
-from .hyperbolic import (
-    MAP_CATALOG,
-    TWO_LOG3,
-    DiskSpec,
-    disk_distance,
-    lemma1_lower_bound,
-    schwarz_check,
-)
+from .hyperbolic import CHECKS, disk_distance, run_check, sample_disk
 from .logc import Zero
 from .params import ParamSeq, make_toy, validate_1b
 from .render import render_escape
 from .verify import obstruction_chain, verify_2a, verify_2b, verify_2c
-
-E = math.e
 
 # frozen 200-bit reference values
 MAX_ABS_H_DOUBLING_K3 = 578.008819580078125  # max |h| on the k=3 ring
@@ -57,12 +49,6 @@ class CriterionResult(NamedTuple):
     detail: str
     seconds: float
     limit: Optional[float]
-
-
-def _disk_points(rng: np.random.Generator, count: int, radius: float):
-    rr = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
-    tt = rng.uniform(0.0, 2.0 * math.pi, count)
-    return rr * np.cos(tt) + 1j * rr * np.sin(tt)
 
 
 def criterion_1() -> tuple[bool, str]:
@@ -88,7 +74,7 @@ def criterion_2() -> tuple[bool, str]:
     p4 = make_toy("doubling")
     p3 = ParamSeq(r=p4.r[:3], n=p4.n[:3])
     rng = np.random.default_rng(42)
-    zs = _disk_points(rng, 1000, p4.r[-1] / 2.0)
+    zs = sample_disk(rng, 1000, p4.r[-1] / 2.0)
     checked = 0
     vacuous = 0
     fails = 0
@@ -172,39 +158,13 @@ def criterion_6() -> tuple[bool, str]:
 
 
 def criterion_7() -> tuple[bool, str]:
-    """Closed-form metric identities and bounds on random samples."""
+    """The exact unit value d(0, 1/2) = log 3, then every randomized family
+    of `hyperbolic.CHECKS` on 10000 samples each."""
     probs = []
     if abs(disk_distance(0.0, 0.5) - math.log(3.0)) > 1e-12:
         probs.append("unit value")
     rng = np.random.default_rng(7)
-    c, r = 1.0 + 2.0j, 3.0
-    big = DiskSpec(c, r)
-    pts = _disk_points(rng, 20000, r / 2.0).reshape(2, -1)
-    for a, b in zip(c + pts[0], c + pts[1]):
-        if disk_distance(a, b, big) > TWO_LOG3 + 1e-12:
-            probs.append("contraction cap")
-            break
-    inner = _disk_points(rng, 20000, 1.0).reshape(2, -1)
-    cs = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 10000))
-    for a, b, cc in zip(inner[0], inner[1], cs):
-        if (lemma1_lower_bound(a, b, cc).bound
-                > disk_distance(a, b) + 1e-12):
-            probs.append("omitted-point bound")
-            break
-    pairs = 0.97 * _disk_points(rng, 2000, 1.0).reshape(2, -1)
-    for name in MAP_CATALOG:
-        for a, b in zip(pairs[0], pairs[1]):
-            if not schwarz_check(name, a, b)[2]:
-                probs.append(f"schwarz {name}")
-                break
-    small = DiskSpec(0j, 1.0)
-    large = DiskSpec(0j, 2.5)
-    nest = _disk_points(rng, 20000, 0.999).reshape(2, -1)
-    for a, b in zip(nest[0], nest[1]):
-        if (disk_distance(a, b, large)
-                > disk_distance(a, b, small) + 1e-12):
-            probs.append("monotonicity")
-            break
+    probs += [name for name in CHECKS if run_check(name, rng, 10000)[0]]
     return not probs, "all five families hold" if not probs else \
         "failed: " + ", ".join(probs)
 
@@ -214,10 +174,10 @@ def criterion_8() -> tuple[bool, str]:
     p = make_toy("doubling")
     rng = np.random.default_rng(8)
     worst_res = 0.0
-    for z in _disk_points(rng, 100, 1.0):
+    for z in sample_disk(rng, 100):
         worst_res = max(worst_res, newton_residual(z, p, 1e-5, 1e-10))
     worst_path = 0.0
-    for z in _disk_points(rng, 20, 1.0):
+    for z in sample_disk(rng, 20):
         direct = eval_g(z, p, 1e-10)
         legs = cmath.exp(-(integrate_exp_neg_h(0.0, z.real, p, 1e-10)
                            + integrate_exp_neg_h(z.real, z, p, 1e-10)))

@@ -16,6 +16,7 @@ from typing import Any, Optional
 
 from . import __version__
 from .hfun import NonConvergence
+from .hyperbolic import CHECKS, run_check
 from .logc import LogComplex, Zero
 from .params import ParamSeq, load_params, make_toy, params_to_json, validate_1b
 
@@ -113,9 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quadrature tolerance for --what g")
 
     q = sp.add_parser("hyp", help="randomized hyperbolic-geometry checks")
-    q.add_argument("--check", required=True,
-                   choices=("metric", "lemma1", "lemma2", "schwarz",
-                            "monotone"))
+    q.add_argument("--check", required=True, choices=CHECKS)
     q.add_argument("--samples", type=int, default=1000)
     q.add_argument("--seed", type=int, required=True,
                    help="RNG seed (required so runs are reproducible)")
@@ -212,72 +211,9 @@ def _cmd_eval(args) -> int:
 def _cmd_hyp(args) -> int:
     import numpy as np
 
-    from .hyperbolic import (
-        MAP_CATALOG,
-        TWO_LOG3,
-        DiskSpec,
-        disk_distance,
-        lemma1_lower_bound,
-        schwarz_check,
-    )
-
     rng = np.random.default_rng(args.seed)
-    n = args.samples
-
-    def draw(count, radius=1.0):
-        rr = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
-        tt = rng.uniform(0.0, 2.0 * math.pi, count)
-        return rr * np.exp(1j * tt)
-
-    failures = 0
-    worst = -math.inf  # most positive violation margin seen (<= 0 is clean)
-    if args.check == "metric":
-        # symmetry and triangle inequality on random triples
-        a, b, c = draw(n), draw(n), draw(n)
-        for ai, bi, ci in zip(a, b, c):
-            sym = abs(disk_distance(ai, bi) - disk_distance(bi, ai))
-            tri = (disk_distance(ai, ci)
-                   - disk_distance(ai, bi) - disk_distance(bi, ci))
-            worst = max(worst, sym, tri)
-            if sym > 1e-12 or tri > 1e-12:
-                failures += 1
-    elif args.check == "lemma1":
-        a, b = draw(n), draw(n)
-        c = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
-        for ai, bi, ci in zip(a, b, c):
-            gap = (lemma1_lower_bound(ai, bi, ci).bound
-                   - disk_distance(ai, bi))
-            worst = max(worst, gap)
-            if gap > 1e-12:
-                failures += 1
-    elif args.check == "lemma2":
-        centre, r = 1.0 + 2.0j, 3.0
-        big = DiskSpec(centre, r)
-        a = centre + draw(n, r / 2.0)
-        b = centre + draw(n, r / 2.0)
-        for ai, bi in zip(a, b):
-            gap = disk_distance(ai, bi, big) - TWO_LOG3
-            worst = max(worst, gap)
-            if gap > 1e-12:
-                failures += 1
-    elif args.check == "schwarz":
-        a, b = 0.97 * draw(n), 0.97 * draw(n)
-        for name in MAP_CATALOG:
-            for ai, bi in zip(a, b):
-                lhs, rhs, ok = schwarz_check(name, ai, bi)
-                worst = max(worst, lhs - rhs)
-                if not ok:
-                    failures += 1
-    elif args.check == "monotone":
-        small = DiskSpec(0j, 1.0)
-        large = DiskSpec(0j, 1.0 + 3.0 * rng.uniform(0.0, 1.0))
-        a, b = draw(n, 0.999), draw(n, 0.999)
-        for ai, bi in zip(a, b):
-            gap = disk_distance(ai, bi, large) - disk_distance(ai, bi, small)
-            worst = max(worst, gap)
-            if gap > 1e-12:
-                failures += 1
-    _emit({"kind": "hyp", "check": args.check, "samples": n,
+    failures, worst = run_check(args.check, rng, args.samples)
+    _emit({"kind": "hyp", "check": args.check, "samples": args.samples,
            "seed": args.seed, "failures": failures, "worst_gap": worst})
     return 0 if failures == 0 else 1
 

@@ -9,7 +9,6 @@ rule and are cross-checked in the tests.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -21,8 +20,9 @@ import numpy as np
 
 from . import _kernels
 from .hfun import eval_f, eval_h
+from .hyperbolic import sample_disk
 from .logc import LogComplex, Zero
-from .params import ParamSeq, params_digest, params_to_json
+from .params import ParamSeq, params_digest
 
 GRID_MAGIC = b"BKGRID1"
 
@@ -136,11 +136,7 @@ def axis_coords(lo: float, hi: float, n: int) -> np.ndarray:
 
 def resolve_threads(threads: Optional[int] = None) -> int:
     if threads is None:
-        env = os.environ.get("BAKERLAB_THREADS", "").strip()
-        if env:
-            threads = int(env)
-        else:
-            threads = min(os.cpu_count() or 1, 8)
+        threads = min(os.cpu_count() or 1, 8)
     if threads < 1:
         raise ValueError("thread count must be >= 1")
     return threads
@@ -246,13 +242,9 @@ def displacement_certificate(p: ParamSeq, count: int = 100000,
     every sampled displacement is at least e^{-B} (reported in log form; the
     cartesian value may underflow).
     """
-    rng = np.random.default_rng(seed)
     R = p.r[-1]
-    rr = R * np.sqrt(rng.uniform(0.0, 1.0, count))
-    tt = rng.uniform(0.0, 2.0 * math.pi, count)
-    zx = rr * np.cos(tt)
-    zy = rr * np.sin(tt)
-    code, lm, ag = _kernels.h_field(zx, zy, p)
+    z = sample_disk(np.random.default_rng(seed), count, R)
+    code, lm, ag = _kernels.h_field(z.real, z.imag, p)
     re_h = np.where(code == 1, 0.0, np.exp(lm) * np.cos(ag))
     finite = bool(np.all(np.isfinite(re_h)))
     B = float(np.max(np.abs(re_h)))

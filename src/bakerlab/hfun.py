@@ -137,37 +137,29 @@ def stored_zeros(p: ParamSeq) -> list[tuple[int, int, complex]]:
     return out
 
 
-def _circle_arg(t: float) -> float:
-    # argument of 1 + e*exp(2*pi*i*t) lifted to [0, 2*pi); continuous and
-    # strictly increasing in t because the origin lies inside the circle
-    a = math.atan2(E * math.sin(TWO_PI * t), 1.0 + E * math.cos(TWO_PI * t))
-    return a if a >= 0.0 else a + TWO_PI
-
-
 def theta(phi: float) -> float:
     """Angle theta in [0,1) making e^{2 pi i phi} (1 + e * e^{2 pi i theta})
     real and positive.
 
-    The circle t -> 1 + e*e^{2 pi i t} winds once around 0, so its argument is
-    a strictly increasing bijection onto [0, 2 pi) and bisection on it finds
-    the unique solution; a target at the wrap point resolves to theta = 0.
+    With alpha = -2 pi frac(phi) the condition puts u = 1 + e e^{2 pi i theta}
+    on the ray at angle alpha.  That ray meets the circle |u - 1| = e at
+    rho = cos(alpha) + sqrt(cos^2(alpha) + e^2 - 1); the other root is
+    negative because the product of the roots is 1 - e^2 < 0.  So theta =
+    arg(rho e^{i alpha} - 1) / 2 pi mod 1, and a phase whose fractional part
+    rounds to 0 or to 1 resolves to theta = 0.
     """
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
     frac = phi - math.floor(phi)
-    if frac == 0.0:
+    if frac == 0.0 or frac == 1.0:
         return 0.0
-    target = TWO_PI * (1.0 - frac)
-    if target >= TWO_PI:
-        return 0.0
-    lo, hi = 0.0, 1.0  # arg(lo) = 0 <= target < 2*pi = arg(hi-)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _circle_arg(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    alpha = -TWO_PI * frac
+    c = math.cos(alpha)
+    rho = c + math.sqrt(c * c + E * E - 1.0)
+    t = math.atan2(rho * math.sin(alpha), rho * c - 1.0) / TWO_PI
+    if t < 0.0:
+        t += 1.0
+    return t if t < 1.0 else 0.0
 
 
 def probe_point(k: int, nu: int, p: ParamSeq) -> ProbePoint:

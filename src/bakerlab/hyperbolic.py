@@ -4,6 +4,10 @@ omitted-point lower bound, and Schwarz contraction checks.
 Everything is closed-form.  General simply connected domains appear only
 through disks and Mobius images; the distance uses the unit-disk normalization
 with density 2/(1-|z|^2).
+
+`run_check` draws one randomized family of these estimates (names in
+`CHECKS`) from a seeded generator; `bakerlab hyp` runs one family and
+selftest criterion 7 runs them all.
 """
 
 from __future__ import annotations
@@ -12,7 +16,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_LOG3 = 2.0 * math.log(3.0)
+CHECKS = ("metric", "lemma1", "lemma2", "schwarz", "monotone")
 
 
 class PointOutsideDomain(ValueError):
@@ -118,3 +125,72 @@ def schwarz_check(map_id: str, a: complex, b: complex) -> tuple[float, float, bo
     rhs = disk_distance(a, b)
     lhs = disk_distance(f(a), f(b))
     return lhs, rhs, lhs <= rhs + 1e-12
+
+
+def sample_disk(rng: np.random.Generator, count: int,
+                radius: float = 1.0) -> np.ndarray:
+    """Draw count points uniformly distributed in the disk |z| < radius."""
+    rr = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
+    tt = rng.uniform(0.0, 2.0 * math.pi, count)
+    return rr * np.exp(1j * tt)
+
+
+def run_check(name: str, rng: np.random.Generator,
+              samples: int) -> tuple[int, float]:
+    """Run one randomized family of `CHECKS` on samples draws from rng.
+
+    Returns (failures, worst_gap): worst_gap is the most positive violation
+    margin seen, so a clean run has worst_gap <= 0 (up to the 1e-12 slack).
+    """
+    n = samples
+    failures = 0
+    worst = -math.inf
+    if name == "metric":
+        # symmetry and triangle inequality on random triples
+        a, b, c = sample_disk(rng, n), sample_disk(rng, n), sample_disk(rng, n)
+        for ai, bi, ci in zip(a, b, c):
+            sym = abs(disk_distance(ai, bi) - disk_distance(bi, ai))
+            tri = (disk_distance(ai, ci)
+                   - disk_distance(ai, bi) - disk_distance(bi, ci))
+            worst = max(worst, sym, tri)
+            if sym > 1e-12 or tri > 1e-12:
+                failures += 1
+    elif name == "lemma1":
+        a, b = sample_disk(rng, n), sample_disk(rng, n)
+        c = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
+        for ai, bi, ci in zip(a, b, c):
+            gap = (lemma1_lower_bound(ai, bi, ci).bound
+                   - disk_distance(ai, bi))
+            worst = max(worst, gap)
+            if gap > 1e-12:
+                failures += 1
+    elif name == "lemma2":
+        centre, r = 1.0 + 2.0j, 3.0
+        big = DiskSpec(centre, r)
+        a = centre + sample_disk(rng, n, r / 2.0)
+        b = centre + sample_disk(rng, n, r / 2.0)
+        for ai, bi in zip(a, b):
+            gap = disk_distance(ai, bi, big) - TWO_LOG3
+            worst = max(worst, gap)
+            if gap > 1e-12:
+                failures += 1
+    elif name == "schwarz":
+        a, b = 0.97 * sample_disk(rng, n), 0.97 * sample_disk(rng, n)
+        for map_id in MAP_CATALOG:
+            for ai, bi in zip(a, b):
+                lhs, rhs, ok = schwarz_check(map_id, ai, bi)
+                worst = max(worst, lhs - rhs)
+                if not ok:
+                    failures += 1
+    elif name == "monotone":
+        small = DiskSpec(0j, 1.0)
+        large = DiskSpec(0j, 1.0 + 3.0 * rng.uniform(0.0, 1.0))
+        a, b = sample_disk(rng, n, 0.999), sample_disk(rng, n, 0.999)
+        for ai, bi in zip(a, b):
+            gap = disk_distance(ai, bi, large) - disk_distance(ai, bi, small)
+            worst = max(worst, gap)
+            if gap > 1e-12:
+                failures += 1
+    else:
+        raise ValueError(f"unknown check {name!r}; choose from {CHECKS}")
+    return failures, worst

@@ -17,13 +17,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _kernels
-from .hfun import eval_f, probe_point
+from .hfun import E, TWO_PI, eval_f, probe_point
 from .hyperbolic import TWO_LOG3, DiskSpec, disk_distance
 from .logc import LogComplex
 from .params import ParamSeq, derive
-
-E = math.e
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

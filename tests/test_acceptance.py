@@ -1,13 +1,12 @@
-"""Acceptance gate: the eleven end-to-end criteria, one test each.
+"""Acceptance gate: the eleven end-to-end criteria, one test each, plus a
+check that criterion 7 fails on a wrong distance formula.
 
 Each test runs its criterion under the runtime budget baked into
 bakerlab.acceptance and prints a single PASS/FAIL line with the measured
 detail (visible with `pytest -rA` or `-s`).
 """
 
-import pytest
-
-from bakerlab import acceptance
+from bakerlab import acceptance, hyperbolic
 
 
 def _run(index: int) -> None:
@@ -45,6 +44,16 @@ def test_criterion_06_angle_solver_and_probe_values():
 
 def test_criterion_07_hyperbolic_metric_suite():
     _run(7)
+
+
+def test_criterion_07_fails_on_a_wrong_distance(monkeypatch):
+    true_distance = hyperbolic.disk_distance
+    monkeypatch.setattr(hyperbolic, "disk_distance",
+                        lambda a, b, d=hyperbolic.UNIT_DISK:
+                        0.25 * true_distance(a, b, d))
+    passed, detail = acceptance.criterion_7()
+    assert not passed
+    assert detail == "failed: lemma1"
 
 
 def test_criterion_08_newton_identity():

@@ -10,7 +10,7 @@ import subprocess
 
 import pytest
 
-from bakerlab import cli
+from bakerlab import cli, hyperbolic
 from bakerlab.params import make_toy, params_to_json
 
 
@@ -140,6 +140,18 @@ def test_hyp_seeded_and_reproducible(capsys):
     assert code1 == code2 == 0
     assert lines1 == lines2
     assert lines1[0]["failures"] == 0
+
+
+def test_hyp_exits_1_when_a_check_fails(capsys, monkeypatch):
+    true_distance = hyperbolic.disk_distance
+    monkeypatch.setattr(hyperbolic, "disk_distance",
+                        lambda a, b, d=hyperbolic.UNIT_DISK:
+                        0.25 * true_distance(a, b, d))
+    code, lines, _ = run_cli(capsys, "hyp", "--check", "lemma1",
+                             "--seed", "0")
+    assert code == 1
+    assert lines[0]["failures"] > 0
+    assert lines[0]["worst_gap"] > 0.0
 
 
 def test_verify_2a_with_csv(capsys, tmp_path):

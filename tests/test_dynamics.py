@@ -153,10 +153,7 @@ class TestThreads:
     def test_explicit_wins(self):
         assert resolve_threads(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("BAKERLAB_THREADS", "5")
-        assert resolve_threads() == 5
-        monkeypatch.delenv("BAKERLAB_THREADS")
+    def test_default_is_positive(self):
         assert resolve_threads() >= 1
 
     def test_rejects_nonpositive(self):

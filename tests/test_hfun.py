@@ -103,13 +103,14 @@ class TestTheta:
         assert theta(0.25) == pytest.approx(0.6900419548937861, abs=1e-14)
 
     def test_matches_high_precision_solver(self):
-        for phi in (0.1, 0.25, 0.37, 0.5, 0.93, 1.75, -0.3):
+        for phi in (0.1, 0.25, 0.37, 0.5, 0.93, 1.75, -0.3,
+                    1e-10, 2.0 ** -53, -2.0 ** -53, 1.0 - 1e-10):
             assert theta(phi) == pytest.approx(theta_ref(phi), abs=1e-13)
 
     def test_wrap_ties_give_zero(self):
-        assert theta(0.0) == 0.0
-        assert theta(1.0) == 0.0
-        assert theta(-2.0) == 0.0
+        # a fractional part that rounds to 0 or to 1 resolves to exactly 0
+        for phi in (0.0, 1.0, -2.0, 3.0, -1e-300, 2.0 ** -60):
+            assert theta(phi) == 0.0
 
     def test_defining_property(self):
         rng = np.random.default_rng(17)

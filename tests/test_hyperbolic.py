@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from bakerlab import hyperbolic
 from bakerlab.hyperbolic import (
+    CHECKS,
     MAP_CATALOG,
     PointOutsideDomain,
     TWO_LOG3,
@@ -16,6 +18,8 @@ from bakerlab.hyperbolic import (
     disk_distance,
     koebe_density_bounds,
     lemma1_lower_bound,
+    run_check,
+    sample_disk,
     schwarz_check,
 )
 
@@ -136,3 +140,34 @@ def test_disk_contains():
     assert d.contains(1.0 + 1.0j)
     assert d.contains(2.9 + 1.0j)
     assert not d.contains(3.1 + 1.0j)
+
+
+def test_sample_disk_is_seeded_and_inside_radius():
+    z = sample_disk(np.random.default_rng(3), 500, 2.5)
+    assert z.shape == (500,)
+    assert np.all(np.abs(z) < 2.5)
+    assert np.array_equal(z, sample_disk(np.random.default_rng(3), 500, 2.5))
+
+
+# a wrong distance formula that each family must catch
+_BROKEN = {
+    "metric": lambda d0: lambda a, b, d=UNIT_DISK: d0(a, b, d) + 0.1 * abs(a),
+    "lemma1": lambda d0: lambda a, b, d=UNIT_DISK: 0.25 * d0(a, b, d),
+    "lemma2": lambda d0: lambda a, b, d=UNIT_DISK: 2.0 * d0(a, b, d),
+    "schwarz": lambda d0: lambda a, b, d=UNIT_DISK: abs(a - b),
+    "monotone": lambda d0: lambda a, b, d=UNIT_DISK: d.r ** 2 * d0(a, b, d),
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_every_check_can_fail(name, monkeypatch):
+    monkeypatch.setattr(hyperbolic, "disk_distance",
+                        _BROKEN[name](disk_distance))
+    failures, worst = run_check(name, np.random.default_rng(0), 200)
+    assert failures > 0
+    assert worst > 1e-12
+
+
+def test_unknown_check_rejected():
+    with pytest.raises(ValueError):
+        run_check("cubic", np.random.default_rng(0), 10)

@@ -138,3 +138,11 @@ def test_max_steps_must_be_positive():
 def test_active_backend_names_the_path_in_use():
     expect = "numba" if _kernels.NUMBA_ENABLED else "numpy"
     assert _kernels.active_backend() == expect
+
+
+def test_prepared_is_built_once_per_profile_and_read_only():
+    p = make_toy("steep")
+    arrays = _kernels.prepared(p)
+    assert _kernels.prepared(make_toy("steep")) is arrays
+    for a in arrays:
+        assert not a.flags.writeable
