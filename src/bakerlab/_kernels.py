@@ -188,7 +188,8 @@ def _classify_loop(zx, zy, r, nf, logr, eps, max_steps, escape_radius,
                 nzt = True
                 nzt_step = s
             if is0:
-                x = x + 1.0
+                nx = x + 1.0
+                ny = y
             else:
                 if hlm <= CARTESIAN_BAND:
                     mod = math.exp(hlm)
@@ -204,12 +205,20 @@ def _classify_loop(zx, zy, r, nf, logr, eps, max_steps, escape_radius,
                     break
                 emod = math.exp(re_h)  # may underflow to exactly 0
                 ia = _reduce_dd(im_h, 0.0)
-                x = x + emod * math.cos(ia)
-                y = y + emod * math.sin(ia)
-            if x * x + y * y > esc2:
+                nx = x + emod * math.cos(ia)
+                ny = y + emod * math.sin(ia)
+            if nx * nx + ny * ny > esc2:
                 st = 3 if nzt else 1
                 sp = s + 1
                 break
+            if nx == x and ny == y:
+                # frozen at a floating-point fixed point: every later step
+                # repeats this one, so the orbit never escapes
+                st = 2 if nzt else 0
+                sp = nzt_step if nzt else 0
+                break
+            x = nx
+            y = ny
         else:
             if nzt:
                 st = 2
@@ -223,16 +232,24 @@ def _classify_loop(zx, zy, r, nf, logr, eps, max_steps, escape_radius,
 # ---------------------------------------------------------------------------
 
 
+def _wrap_np(a):
+    # in place: values just past +-pi back into (-pi, pi]
+    a[a > math.pi] -= _TWO_PI_HI
+    a[a <= -math.pi] += _TWO_PI_HI
+
+
 def _reduce_np(x, lo=0.0):
     q = np.rint(x / _TWO_PI_HI)
     ph, pl = two_prod(q, _TWO_PI_HI)
     r = ((x - ph) + lo) - pl - q * _TWO_PI_LO
-    r = np.where(r > math.pi, r - _TWO_PI_HI, r)
-    r = np.where(r <= -math.pi, r + _TWO_PI_HI, r)
+    _wrap_np(r)
     return r
 
 
 def _h_field_numpy(zx, zy, r, nf, logr, eps):
+    # each factor's three magnitude regimes are evaluated on their own points
+    flm = np.empty_like(zx)
+    fag = np.empty_like(zx)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lmz = np.log(np.hypot(zx, zy))  # -inf at the origin, handled below
         agz = np.arctan2(zy, zx)
@@ -244,64 +261,67 @@ def _h_field_numpy(zx, zy, r, nf, logr, eps):
             wlm = n * (lmz - logr[k])
             hi, lo = two_prod(n, agz)
             wag = _reduce_np(hi, lo)
-            zero |= (np.abs(wlm) <= eps[k]) & ((math.pi - np.abs(wag)) <= eps[k])
-
+            cw = np.cos(wag)
+            sw = np.sin(wag)
             small = wlm <= -50.0
             big = wlm >= 50.0
-            mid = ~(small | big)
-            t = np.exp(np.where(small, wlm, -np.inf))
-            flm = 0.5 * np.log1p(t * (2.0 * np.cos(wag) + t))
-            fag = np.arctan2(t * np.sin(wag), 1.0 + t * np.cos(wag))
-            u = np.exp(np.where(big, -wlm, 0.0))
-            blm = wlm + 0.5 * np.log1p(u * (2.0 * np.cos(wag) + u))
-            bag = wag + np.arctan2(-u * np.sin(wag), 1.0 + u * np.cos(wag))
-            bag = np.where(bag > math.pi, bag - _TWO_PI_HI, bag)
-            bag = np.where(bag <= -math.pi, bag + _TWO_PI_HI, bag)
-            m = np.exp(np.where(mid, wlm, 0.0))
-            x = 1.0 + m * np.cos(wag)
-            y = m * np.sin(wag)
-            zero |= mid & (x == 0.0) & (y == 0.0)
-            with np.errstate(divide="ignore"):
-                mlm = np.log(np.hypot(x, y))
-            mag = np.arctan2(y, x)
-            flm = np.where(big, blm, np.where(mid, mlm, flm))
-            fag = np.where(big, bag, np.where(mid, mag, fag))
-
-            acc_lm = acc_lm + flm
-            acc_ag = acc_ag + fag
-            acc_ag = np.where(acc_ag > math.pi, acc_ag - _TWO_PI_HI, acc_ag)
-            acc_ag = np.where(acc_ag <= -math.pi, acc_ag + _TWO_PI_HI, acc_ag)
+            mid = np.flatnonzero(~(small | big))
+            small = np.flatnonzero(small)
+            big = np.flatnonzero(big)
+            if small.size:
+                t = np.exp(wlm[small])
+                c, sn = cw[small], sw[small]
+                flm[small] = 0.5 * np.log1p(t * (2.0 * c + t))
+                fag[small] = np.arctan2(t * sn, 1.0 + t * c)
+            if big.size:
+                w = wlm[big]
+                u = np.exp(-w)
+                c, sn = cw[big], sw[big]
+                flm[big] = w + 0.5 * np.log1p(u * (2.0 * c + u))
+                a = wag[big] + np.arctan2(-u * sn, 1.0 + u * c)
+                _wrap_np(a)
+                fag[big] = a
+            if mid.size:
+                w = wlm[mid]
+                m = np.exp(w)
+                x = 1.0 + m * cw[mid]
+                y = m * sw[mid]
+                # snapped to the factor's zero, or exactly zero in floating point
+                zero[mid] |= (((np.abs(w) <= eps[k])
+                               & ((math.pi - np.abs(wag[mid])) <= eps[k]))
+                              | ((x == 0.0) & (y == 0.0)))
+                flm[mid] = np.log(np.hypot(x, y))
+                fag[mid] = np.arctan2(y, x)
+            acc_lm += flm
+            acc_ag += fag
+            _wrap_np(acc_ag)
 
     origin = (zx == 0.0) & (zy == 0.0)
-    acc_lm = np.where(origin, 0.0, acc_lm)
-    acc_ag = np.where(origin, 0.0, acc_ag)
-    code = zero.astype(np.uint8)
-    acc_lm = np.where(zero, -np.inf, acc_lm)
-    acc_ag = np.where(zero, 0.0, acc_ag)
-    return code, acc_lm, acc_ag
+    acc_lm[origin] = 0.0
+    acc_ag[origin] = 0.0
+    acc_lm[zero] = -np.inf
+    acc_ag[zero] = 0.0
+    return zero.astype(np.uint8), acc_lm, acc_ag
 
 
 def _classify_numpy(zx, zy, r, nf, logr, eps, max_steps, escape_radius):
     npts = zx.shape[0]
-    x = zx.astype(np.float64).copy()
-    y = zy.astype(np.float64).copy()
     status = np.zeros(npts, dtype=np.uint8)
     step = np.zeros(npts, dtype=np.uint32)
+    # the active orbits, compacted whenever some of them finish
+    idx = np.arange(npts)
+    x, y = zx, zy
     nzt = np.zeros(npts, dtype=bool)
     nzt_step = np.zeros(npts, dtype=np.uint32)
-    active = np.ones(npts, dtype=bool)
     esc2 = escape_radius * escape_radius
     for s in range(max_steps):
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        ax = x[idx]
-        ay = y[idx]
-        code, hlm, hag = _h_field_numpy(ax, ay, r, nf, logr, eps)
+        code, hlm, hag = _h_field_numpy(x, y, r, nf, logr, eps)
         is0 = code == 1
-        fresh = (hlm < LOG_LN2) & ~nzt[idx]
-        nzt[idx[fresh]] = True
-        nzt_step[idx[fresh]] = s
+        fresh = (hlm < LOG_LN2) & ~nzt
+        nzt |= fresh
+        nzt_step[fresh] = s
         with np.errstate(over="ignore", invalid="ignore"):
             big = hlm > CARTESIAN_BAND
             mod = np.exp(np.where(big | is0, 0.0, hlm))
@@ -316,18 +336,24 @@ def _classify_numpy(zx, zy, r, nf, logr, eps, max_steps, escape_radius):
             esc_log = re_h > CARTESIAN_BAND
             emod = np.exp(np.where(esc_log, 0.0, re_h))
             ia = _reduce_np(np.where(esc_log, 0.0, im_h))
-            nx = np.where(is0, ax + 1.0, ax + emod * np.cos(ia))
-            ny = np.where(is0, ay, ay + emod * np.sin(ia))
+            nx = np.where(is0, x + 1.0, x + emod * np.cos(ia))
+            ny = np.where(is0, y, y + emod * np.sin(ia))
             out = esc_log | (nx * nx + ny * ny > esc2)
-        esc_idx = idx[out]
-        status[esc_idx] = np.where(nzt[esc_idx], 3, 1).astype(np.uint8)
-        step[esc_idx] = s + 1
-        active[esc_idx] = False
-        x[idx] = nx
-        y[idx] = ny
-    rem = np.flatnonzero(active)
-    status[rem] = np.where(nzt[rem], 2, 0).astype(np.uint8)
-    step[rem] = np.where(nzt[rem], nzt_step[rem], 0)
+        # frozen at a floating-point fixed point: every later step repeats
+        # this one, so the orbit never escapes and its flag is final
+        frozen = ~out & (nx == x) & (ny == y)
+        done = out | frozen
+        if done.any():
+            status[idx[out]] = np.where(nzt[out], 3, 1)
+            step[idx[out]] = s + 1
+            status[idx[frozen]] = np.where(nzt[frozen], 2, 0)
+            step[idx[frozen]] = np.where(nzt[frozen], nzt_step[frozen], 0)
+            keep = ~done
+            idx, nx, ny, nzt, nzt_step = (
+                idx[keep], nx[keep], ny[keep], nzt[keep], nzt_step[keep])
+        x, y = nx, ny
+    status[idx] = np.where(nzt, 2, 0)
+    step[idx] = np.where(nzt, nzt_step, 0)
     return status, step
 
 
@@ -359,15 +385,27 @@ def h_field(zx, zy, p: ParamSeq):
     return code, lm, ag
 
 
+def check_escape_radius(p: ParamSeq, escape_radius: float) -> None:
+    """Reject an escape radius that is not beyond the last ring (NaN too)."""
+    if not escape_radius > p.r[-1]:
+        raise ValueError("escape_radius must exceed the last stored radius")
+
+
 def classify_field(zx, zy, p: ParamSeq, max_steps: int, escape_radius: float):
     """Orbit classification for each start point.
 
     Status codes: 0 bounded-so-far, 1 escaped, 2 near-zero-translation seen
     (still bounded), 3 escaped after a near-zero-translation phase.  ``step``
     is the first escape index for 1/3, the first flag index for 2, else 0.
+
+    An orbit that lands on a floating-point fixed point (``f(z) == z``
+    bitwise) stops there with its final status, 0 or 2.  That is an artefact
+    of rounding: the map has no fixed points.  Such pixels are reported as
+    bounded until the grid format gets a status of its own for them.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    check_escape_radius(p, escape_radius)
     zx = np.ascontiguousarray(zx, dtype=np.float64)
     zy = np.ascontiguousarray(zy, dtype=np.float64)
     r, nf, logr, eps = prepared(p)

@@ -66,8 +66,7 @@ def iterate(z0: complex, p: ParamSeq, max_steps: int = 64,
         raise ValueError("max_steps must be >= 1")
     if escape_radius is None:
         escape_radius = default_escape_radius(p)
-    if not escape_radius > p.r[-1]:
-        raise ValueError("escape_radius must exceed the last stored radius")
+    _kernels.check_escape_radius(p, escape_radius)
     points = [complex(z0)]
     tail = None
     step = None

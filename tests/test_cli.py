@@ -114,6 +114,21 @@ def test_grid_rejects_zero_steps(capsys, tmp_path):
     assert not gpath.exists() and "max_steps" in err
 
 
+@pytest.mark.parametrize("radius", ["1", "-5", "nan"])
+@pytest.mark.parametrize("command", ["grid", "orbit"])
+def test_escape_radius_inside_last_ring_is_rejected(capsys, tmp_path, command,
+                                                     radius):
+    gpath = tmp_path / "g.bkg"
+    argv = (["grid", "--rect=-1,-1,1,1", "--nx", "2", "--ny", "2",
+             "--out", str(gpath)] if command == "grid"
+            else ["orbit", "--z", "0,0"])
+    code, lines, err = run_cli(capsys, *argv, "--profile", "doubling",
+                               "--escape-radius", radius)
+    assert code == 2
+    assert lines == [] and "escape_radius" in err
+    assert not gpath.exists()
+
+
 def test_bad_complex_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--profile", "doubling", "--z", "one+two"])

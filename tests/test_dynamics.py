@@ -57,6 +57,17 @@ class TestIterate:
         assert default_escape_radius(DOUBLING) == 64.0
 
 
+def _kernel_cell(rec):
+    # the (status, step) cell the batch kernels give the orbit iterate found
+    if rec.status == "escaped":
+        nzt_before = rec.nzt_step is not None and rec.nzt_step < rec.step
+        return (STATUS_ESCAPED_AFTER_NEAR_ZERO if nzt_before
+                else STATUS_ESCAPED), rec.step
+    if rec.status == "near-zero-translation":
+        return STATUS_NEAR_ZERO, rec.nzt_step
+    return STATUS_BOUNDED, 0
+
+
 class TestScalarKernelParity:
     def test_statuses_and_steps_match_the_kernel(self):
         rng = np.random.default_rng(9)
@@ -66,19 +77,23 @@ class TestScalarKernelParity:
         for x, y, s, t in zip(zx, zy, status, step):
             rec = iterate(complex(x, y), DOUBLING, max_steps=30,
                           escape_radius=64.0)
-            want = {
-                "escaped": (STATUS_ESCAPED
-                            if rec.nzt_step is None
-                            or rec.step <= rec.nzt_step
-                            else STATUS_ESCAPED_AFTER_NEAR_ZERO),
-                "near-zero-translation": STATUS_NEAR_ZERO,
-                "bounded-so-far": STATUS_BOUNDED,
-            }[rec.status]
-            assert s == want, (x, y)
-            if rec.status == "escaped":
-                assert t == rec.step
-            elif rec.status == "near-zero-translation":
-                assert t == rec.nzt_step
+            assert (s, t) == _kernel_cell(rec), (x, y)
+
+    def test_grid_matches_iterate_pixel_by_pixel(self):
+        # iterate runs every step; the kernels stop at a frozen orbit
+        g = classify_grid((-8 - 8j, 8 + 8j), 16, 16, DOUBLING, max_steps=40,
+                          escape_radius=64.0)
+        xs = axis_coords(-8.0, 8.0, 16)
+        frozen_flagged = 0
+        for j, y in enumerate(xs):
+            for i, x in enumerate(xs):
+                rec = iterate(complex(x, y), DOUBLING, max_steps=40,
+                              escape_radius=64.0)
+                assert (g.status[j, i], g.step[j, i]) == _kernel_cell(rec), (x, y)
+                pts = rec.points
+                frozen_flagged += (rec.status == "near-zero-translation"
+                                   and pts[-1] == pts[-2])
+        assert frozen_flagged > 0
 
 
 class TestGrid:

@@ -1,6 +1,7 @@
 """Batch kernels: accuracy against the 200-bit route, exact zero detection,
 and parity of the scalar loops (run interpreted) with the numpy path."""
 
+import hashlib
 import math
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from bakerlab import _kernels
+from bakerlab.dynamics import classify_grid, iterate
 from bakerlab.params import make_toy
 
 from _oracles import h_ref
@@ -146,3 +148,120 @@ def test_prepared_is_built_once_per_profile_and_read_only():
     assert _kernels.prepared(make_toy("steep")) is arrays
     for a in arrays:
         assert not a.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes of the numpy path, and the stall exit
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the numpy path's output bytes, recorded before the stall exit
+# and the per-regime evaluation were added.  Both changes must leave every
+# byte as it was.  A libm that rounds differently from the recording
+# machine (x86-64, numpy 2.4) would also change them.
+GRID_DIGESTS = {
+    "canonical-doubling":
+        "ca4f32225a410ceed8efbfc3aa74aa2c4050af60d88e8057a301cc5979feaddf",
+    "steep-off-axis":
+        "1c8cc316a20bd712f139ca7ea998680305c89a5044fef1ed1be0305baa064d7b",
+}
+GRID_CASES = {
+    "canonical-doubling": ((-8 - 8j, 8 + 8j), "doubling", 40),
+    "steep-off-axis": ((-11 - 9j, 13 + 15j), "steep", 80),
+}
+FIELD_DIGESTS = {
+    "doubling":
+        "bf8de83c4341fff7ba97b5811353a3cb600574366563a19d0132e77b2d25027f",
+    "steep":
+        "71f1980c248bdd0003ba73d4f70e7cd0f4449572dfa81e0ce1994b19f01eaa3a",
+    "paper2":
+        "483081c5e07b69a51ea6b568cbfbb0cc7020ba92158fc2eb2575218034a1bcec",
+}
+
+
+def _sha(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def _pinned_grid(case, monkeypatch):
+    monkeypatch.setattr(_kernels, "NUMBA_ENABLED", False)
+    rect, profile, steps = GRID_CASES[case]
+    return classify_grid(rect, 64, 64, make_toy(profile), max_steps=steps,
+                         escape_radius=64.0, threads=1)
+
+
+def _regime_points(p):
+    # log-uniform in |z| over e^-60..e^60, plus a dense band around each
+    # factor's regime edges |(z/r_k)^n_k| = e^(+-50), then the origin and two
+    # zeros of the first factor
+    rng = np.random.default_rng(2024)
+    logs = [rng.uniform(-60.0, 60.0, 600)]
+    for r, n in zip(p.r, p.n):
+        logs.append(math.log(r) + (50.0 / n) * rng.uniform(-1.5, 1.5, 200))
+    lm = np.concatenate(logs)
+    ag = rng.uniform(-math.pi, math.pi, lm.size)
+    zeros = p.r[0] * np.exp(1j * math.pi * np.array([1.0, -1.0]) / p.n[0])
+    z = np.concatenate([np.exp(lm) * np.exp(1j * ag), [0.0], zeros])
+    return z.real.copy(), z.imag.copy()
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_bytes_are_pinned(case, monkeypatch):
+    g = _pinned_grid(case, monkeypatch)
+    assert _sha(g.status, g.step) == GRID_DIGESTS[case]
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_DIGESTS))
+def test_field_bytes_are_pinned(name):
+    p = make_toy(name)
+    zx, zy = _regime_points(p)
+    code, lm, ag = _kernels._h_field_numpy(zx, zy, *_kernels.prepared(p))
+    assert code[-3:].tolist() == [0, 1, 1]
+    assert _sha(code, lm, ag) == FIELD_DIGESTS[name]
+
+
+def _count_points(monkeypatch, name):
+    # count the points each call of a kernel function evaluates
+    seen = []
+    inner = getattr(_kernels, name)
+
+    def counting(zx, *args):
+        seen.append(np.size(zx))
+        return inner(zx, *args)
+
+    monkeypatch.setattr(_kernels, name, counting)
+    return seen
+
+
+def test_stall_exit_skips_frozen_orbits(monkeypatch):
+    seen = _count_points(monkeypatch, "_h_field_numpy")
+    g = _pinned_grid("canonical-doubling", monkeypatch)
+    budget = g.nx * g.ny * 40
+    # about half the pixels stay bounded; without the exit each of them
+    # would be evaluated on all 40 steps
+    assert np.count_nonzero(np.isin(g.status, (0, 2))) > 0.4 * g.nx * g.ny
+    assert sum(seen) < budget // 4
+
+
+# (z, step at which |h| < ln 2 first holds, step whose image equals its input)
+FROZEN_AFTER_NZT = (complex(-0.6929133858267716, -3.0866141732283463), 3, 6)
+
+
+def test_frozen_orbit_keeps_its_near_zero_flag(monkeypatch):
+    z, nzt_step, frozen_at = FROZEN_AFTER_NZT
+    rec = iterate(z, DOUBLING, max_steps=40, escape_radius=64.0)
+    assert rec.status == "near-zero-translation"
+    assert rec.nzt_step == nzt_step
+    assert rec.points[frozen_at + 1] == rec.points[frozen_at]
+    assert rec.points[frozen_at] != rec.points[frozen_at - 1]
+
+    zx, zy = np.array([z.real]), np.array([z.imag])
+    seen = _count_points(monkeypatch, "_h_field_numpy")
+    status, step = _kernels._classify_numpy(zx, zy, *_kernels.prepared(DOUBLING),
+                                            40, 64.0)
+    assert (status[0], step[0]) == (2, nzt_step)
+    assert len(seen) == frozen_at + 1  # one evaluation per step up to the freeze
+
+    seen = _count_points(monkeypatch, "_h_point")
+    status, step = _loop_classify(zx, zy, DOUBLING, 40, 64.0)
+    assert (status[0], step[0]) == (2, nzt_step)
+    assert len(seen) == frozen_at + 1
