@@ -6,15 +6,12 @@ verifies the growth and probe-point estimates behind the construction,
 replays the contraction-obstruction chain, iterates the map on grids, and
 renders the results.
 
-All evaluation of the product goes through one arithmetic core in
-`_kernels`.  Its per-pixel loops are JIT compiled when the optional numba
-dependency imports (``pip install bakerlab[jit]``); without numba the same
-scalar code runs as plain Python and batches use a vectorized numpy path.
+All evaluation of the product goes through `_kernels`: one scalar core
+for single points and one vectorized numpy path for batches.
 """
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED, active_backend
 from .dynamics import Grid, classify_grid, iterate, read_grid, write_grid
 from .hfun import EvalResult, NonConvergence, eval_f, eval_g, eval_h, theta
 from .logc import LogComplex, Zero
@@ -26,12 +23,10 @@ __all__ = [
     "EvalResult",
     "Grid",
     "LogComplex",
-    "NUMBA_ENABLED",
     "NonConvergence",
     "ParamSeq",
     "Zero",
     "__version__",
-    "active_backend",
     "classify_grid",
     "eval_f",
     "eval_g",

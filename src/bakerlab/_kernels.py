@@ -1,13 +1,11 @@
 """The one arithmetic core: the truncated product h, batch evaluation of it
 and orbit classification.
 
-`_h_point` is the only scalar definition of h.  It is compiled with numba
-(``@njit(nogil=True)``) when numba imports and runs as plain Python
-otherwise; `hfun.eval_h` wraps it for single points.  Batches go through
-the compiled scalar loops when numba imports and through a vectorized numpy
-path when it does not.  Per-pixel results are independent of how the input
-is batched, which is what makes row-parallel callers deterministic across
-thread counts.
+`_h_point` is the only scalar definition of h; `hfun.eval_h` wraps it for
+single points.  Batches go through one vectorized numpy path,
+`_h_field_numpy` and `_classify_numpy`.  Per-pixel results are independent
+of how the input is batched, which is what makes row-parallel callers
+deterministic across thread counts.
 
 The compensated angle multiplication is exact only for degrees
 ``n_k < 2**53``; `ParamSeq` enforces that bound.
@@ -21,13 +19,6 @@ import math
 import numpy as np
 
 from .params import ParamSeq
-
-try:
-    import numba
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    NUMBA_ENABLED = False
 
 _TWO_PI_HI = 6.283185307179586
 _TWO_PI_LO = 2.4492935982947064e-16
@@ -82,27 +73,14 @@ def two_prod(a, b):
 
 
 # ---------------------------------------------------------------------------
-# scalar implementations (compiled with numba when it imports)
+# scalar core
 # ---------------------------------------------------------------------------
 
-if NUMBA_ENABLED:
-    def _jit(**kw):
-        return numba.njit(**kw)
-else:
-    def _jit(**kw):  # decoration becomes a no-op
-        def deco(f):
-            return f
-        return deco
 
-
-_two_prod = _jit(cache=True)(two_prod)  # the copy the scalar loops call
-
-
-@_jit(cache=True)
 def _reduce_dd(hi: float, lo: float) -> float:
     # reduce hi+lo mod 2*pi into (-pi, pi]; valid while |hi| < 2**53 * 2*pi
     q = round(hi / _TWO_PI_HI)
-    ph, pl = _two_prod(q, _TWO_PI_HI)
+    ph, pl = two_prod(q, _TWO_PI_HI)
     r = ((hi - ph) + lo) - pl - q * _TWO_PI_LO
     if r > math.pi:
         r -= _TWO_PI_HI
@@ -111,7 +89,6 @@ def _reduce_dd(hi: float, lo: float) -> float:
     return r
 
 
-@_jit(cache=True)
 def _h_point(zx, zy, r, nf, logr, eps):
     # returns (is_zero, logmod, arg) of the truncated product at zx+i*zy
     if zx == 0.0 and zy == 0.0:
@@ -124,7 +101,7 @@ def _h_point(zx, zy, r, nf, logr, eps):
         n = nf[k]
         wlm = n * (lmz - logr[k])
         # compensated n*arg, then mod 2*pi
-        hi, lo = _two_prod(n, agz)
+        hi, lo = two_prod(n, agz)
         wag = _reduce_dd(hi, lo)
         if abs(wlm) <= eps[k] and (math.pi - abs(wag)) <= eps[k]:
             return True, -math.inf, 0.0
@@ -155,76 +132,6 @@ def _h_point(zx, zy, r, nf, logr, eps):
         elif acc_ag <= -math.pi:
             acc_ag += _TWO_PI_HI
     return False, acc_lm, acc_ag
-
-
-@_jit(cache=True, nogil=True)
-def _h_field_loop(zx, zy, r, nf, logr, eps, code, lm, ag):
-    for i in range(zx.shape[0]):
-        is0, l, a = _h_point(zx[i], zy[i], r, nf, logr, eps)
-        if is0:
-            code[i] = 1
-            lm[i] = -math.inf
-            ag[i] = 0.0
-        else:
-            code[i] = 0
-            lm[i] = l
-            ag[i] = a
-
-
-@_jit(cache=True, nogil=True)
-def _classify_loop(zx, zy, r, nf, logr, eps, max_steps, escape_radius,
-                   status, step):
-    esc2 = escape_radius * escape_radius
-    for i in range(zx.shape[0]):
-        x = zx[i]
-        y = zy[i]
-        nzt = False
-        nzt_step = 0
-        st = 0
-        sp = 0
-        for s in range(max_steps):
-            is0, hlm, hag = _h_point(x, y, r, nf, logr, eps)
-            if hlm < LOG_LN2 and not nzt:
-                nzt = True
-                nzt_step = s
-            if is0:
-                nx = x + 1.0
-                ny = y
-            else:
-                if hlm <= CARTESIAN_BAND:
-                    mod = math.exp(hlm)
-                    re_h = mod * math.cos(hag)
-                    im_h = mod * math.sin(hag)
-                else:
-                    # phase of e^h unresolvable; only the sign of Re h matters
-                    re_h = math.inf if math.cos(hag) >= 0.0 else -math.inf
-                    im_h = 0.0
-                if re_h > CARTESIAN_BAND:
-                    st = 3 if nzt else 1
-                    sp = s + 1
-                    break
-                emod = math.exp(re_h)  # may underflow to exactly 0
-                ia = _reduce_dd(im_h, 0.0)
-                nx = x + emod * math.cos(ia)
-                ny = y + emod * math.sin(ia)
-            if nx * nx + ny * ny > esc2:
-                st = 3 if nzt else 1
-                sp = s + 1
-                break
-            if nx == x and ny == y:
-                # frozen at a floating-point fixed point: every later step
-                # repeats this one, so the orbit never escapes
-                st = 2 if nzt else 0
-                sp = nzt_step if nzt else 0
-                break
-            x = nx
-            y = ny
-        else:
-            if nzt:
-                st = 2
-                sp = nzt_step
-        status[i] = st
-        step[i] = sp
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +265,13 @@ def _classify_numpy(zx, zy, r, nf, logr, eps, max_steps, escape_radius):
 
 
 # ---------------------------------------------------------------------------
-# public dispatch
+# public entry points
 # ---------------------------------------------------------------------------
 
 
 def active_backend() -> str:
-    """The batch path in use: "numba" when numba imports, else "numpy"."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """The batch path in use, recorded with benchmark results: always "numpy"."""
+    return "numpy"
 
 
 def h_field(zx, zy, p: ParamSeq):
@@ -375,14 +282,7 @@ def h_field(zx, zy, p: ParamSeq):
     """
     zx = np.ascontiguousarray(zx, dtype=np.float64)
     zy = np.ascontiguousarray(zy, dtype=np.float64)
-    r, nf, logr, eps = prepared(p)
-    if not NUMBA_ENABLED:
-        return _h_field_numpy(zx, zy, r, nf, logr, eps)
-    code = np.empty(zx.shape[0], dtype=np.uint8)
-    lm = np.empty(zx.shape[0], dtype=np.float64)
-    ag = np.empty(zx.shape[0], dtype=np.float64)
-    _h_field_loop(zx, zy, r, nf, logr, eps, code, lm, ag)
-    return code, lm, ag
+    return _h_field_numpy(zx, zy, *prepared(p))
 
 
 def check_escape_radius(p: ParamSeq, escape_radius: float) -> None:
@@ -408,17 +308,15 @@ def classify_field(zx, zy, p: ParamSeq, max_steps: int, escape_radius: float):
     check_escape_radius(p, escape_radius)
     zx = np.ascontiguousarray(zx, dtype=np.float64)
     zy = np.ascontiguousarray(zy, dtype=np.float64)
-    r, nf, logr, eps = prepared(p)
-    if not NUMBA_ENABLED:
-        return _classify_numpy(zx, zy, r, nf, logr, eps, max_steps, escape_radius)
-    status = np.empty(zx.shape[0], dtype=np.uint8)
-    step = np.empty(zx.shape[0], dtype=np.uint32)
-    _classify_loop(zx, zy, r, nf, logr, eps, max_steps, escape_radius, status, step)
-    return status, step
+    return _classify_numpy(zx, zy, *prepared(p), max_steps, escape_radius)
 
 
 def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs (no-op for the numpy backend)."""
+    """Run both batch entry points once on a tiny input.
+
+    The library needs no warm-up; the benchmark harness calls this before
+    its clock starts.
+    """
     from .params import make_toy
 
     p = make_toy("doubling")

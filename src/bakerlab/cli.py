@@ -316,10 +316,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from . import _kernels, acceptance
+    from . import acceptance
 
     if args.only is not None:
-        _kernels.warmup()
         results = [acceptance.run_criterion(args.only)]
     else:
         results = acceptance.run_all()

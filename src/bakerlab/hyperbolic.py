@@ -142,6 +142,8 @@ def run_check(name: str, rng: np.random.Generator,
     Returns (failures, worst_gap): worst_gap is the most positive violation
     margin seen, so a clean run has worst_gap <= 0 (up to the 1e-12 slack).
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     n = samples
     failures = 0
     worst = -math.inf

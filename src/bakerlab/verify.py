@@ -145,6 +145,8 @@ def verify_2c(p: ParamSeq, k: int, max_probes: int = 4096) -> list[ProbeRatio]:
     exceeds max_probes the nu range is subsampled evenly (always including 0).
     """
     _require_ring_index(p, k)
+    if max_probes < 1:
+        raise ValueError("samples must be >= 1")
     d = derive(p)
     n_k = p.n[k - 1]
     logT = d.logT[k - 1]

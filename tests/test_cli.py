@@ -188,6 +188,20 @@ def test_verify_2c_json(capsys):
     assert lines[0]["min_ratio"] > 1.0
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["hyp", "--check", "metric", "--seed", "1"],
+    ["verify", "--profile", "doubling", "--check", "2a", "--k", "2"],
+    ["verify", "--profile", "doubling", "--check", "2b", "--k", "2"],
+    ["verify", "--profile", "doubling", "--check", "2c", "--k", "2"],
+], ids=["hyp", "2a", "2b", "2c"])
+def test_non_positive_samples_are_config_errors(capsys, argv, samples):
+    code, lines, err = run_cli(capsys, *argv, "--samples", samples)
+    assert code == 2
+    assert lines == []
+    assert err == "error: samples must be >= 1\n"
+
+
 def test_verify_bad_ring_is_config_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--profile", "doubling",
                            "--check", "2a", "--k", "9")
@@ -244,6 +258,14 @@ def test_selftest_single_criterion(capsys):
     assert lines[0]["kind"] == "criterion"
     assert lines[0]["passed"] is True
     assert lines[-1]["ok"] is True
+
+
+@pytest.mark.parametrize("index", ["0", "-1", "12"])
+def test_selftest_rejects_criterion_out_of_range(capsys, index):
+    code, lines, err = run_cli(capsys, "selftest", "--only", index)
+    assert code == 2
+    assert lines == []
+    assert err == "error: criterion index must be in 1..11\n"
 
 
 def test_console_script_end_to_end():

@@ -79,6 +79,17 @@ class TestScalarKernelParity:
                           escape_radius=64.0)
             assert (s, t) == _kernel_cell(rec), (x, y)
 
+    @pytest.mark.parametrize("name", ["doubling", "steep", "paper2"])
+    def test_every_profile_matches_the_kernel(self, name):
+        p = make_toy(name)
+        rng = np.random.default_rng(5)
+        zx = rng.uniform(-20, 20, 400)
+        zy = rng.uniform(-20, 20, 400)
+        status, step = _kernels.classify_field(zx, zy, p, 40, 64.0)
+        for x, y, s, t in zip(zx, zy, status, step):
+            rec = iterate(complex(x, y), p, max_steps=40, escape_radius=64.0)
+            assert (s, t) == _kernel_cell(rec), (x, y)
+
     def test_grid_matches_iterate_pixel_by_pixel(self):
         # iterate runs every step; the kernels stop at a frozen orbit
         g = classify_grid((-8 - 8j, 8 + 8j), 16, 16, DOUBLING, max_steps=40,
