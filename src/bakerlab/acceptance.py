@@ -66,42 +66,31 @@ def criterion_1() -> tuple[bool, str]:
 def criterion_2() -> tuple[bool, str]:
     """Truncation bound dominates the K-1 -> K factor jump.
 
-    Only points with a finite bound count: the bound is claimed for
-    |z| <= r_K/2 alone, and elsewhere a point could not fail.
+    The K=3 prefix claims a bound on the whole disk |z| < 2 r_3, and the
+    fourth factor (r_4 = 2 r_3, n_4 >= 4) is a continuation it covers, so
+    every sampled point must have a finite bound and stay under it.
     """
     p4 = make_toy("doubling")
     p3 = ParamSeq(r=p4.r[:3], n=p4.n[:3])
     rng = np.random.default_rng(42)
-    zs = sample_disk(rng, 1000, p4.r[-1] / 2.0)
-    checked = 0
-    vacuous = 0
+    zs = sample_disk(rng, 1000, 2.0 * p3.r[-1])
     fails = 0
     worst = 0.0
     for z in zs:
         h3 = eval_h(z, p3)
-        h4 = eval_h(z, p4)
-        if isinstance(h3.value, Zero) or not isinstance(h3.value, complex):
-            continue
-        if not isinstance(h4.value, complex):
-            continue
-        if not math.isfinite(h3.trunc_bound):
-            vacuous += 1
-            continue
-        rel = abs(h4.value - h3.value) / abs(h3.value)
-        checked += 1
+        rel = abs(eval_h(z, p4).value - h3.value) / abs(h3.value)
         worst = max(worst, rel / h3.trunc_bound)
-        if rel > h3.trunc_bound:
+        if h3.unbounded_tail or rel > h3.trunc_bound:
             fails += 1
-    ok = fails == 0 and checked >= 250
-    return ok, (f"{checked} points with a finite bound, {fails} over it, "
-                f"worst ratio to bound {worst:.3g}; {vacuous} points "
-                f"without a bound")
+    return fails == 0, (f"{len(zs)} points, {fails} over the bound or "
+                        f"without one, worst ratio to bound {worst:.3g}")
 
 
 def criterion_3() -> tuple[bool, str]:
-    """Ring growth bound, with the k=3 maximum pinned to the reference."""
+    """Ring growth bound in closed form, with the k=3 maximum pinned to the
+    reference."""
     p = make_toy("doubling")
-    reports = [verify_2a(p, k, 4096) for k in (2, 3, 4)]
+    reports = [verify_2a(p, k) for k in (2, 3, 4)]
     all_pass = all(r.passed for r in reports)
     max_k3 = math.exp(reports[1].max_log_abs_h)
     pinned = abs(max_k3 - MAX_ABS_H_DOUBLING_K3) <= 0.5
@@ -189,25 +178,33 @@ def criterion_8() -> tuple[bool, str]:
 
 
 def criterion_9() -> tuple[bool, str]:
-    """Obstruction chain at the genuinely valid two-ring profile."""
+    """Obstruction chain at the genuinely valid two-ring profile, replayed
+    at ring 2 over 2000 seeded angles.
+
+    Every desk-scale link must hold at every angle, and the scale, pinch
+    and 3d values must match.  f_b_large is reported as a share, not
+    gated: with T_2 = 2, e^{Re h(b)} can stay below s_2^2 ~ 16.
+    """
     p = make_toy("paper2")
-    rep = obstruction_chain(p, 2, 0.1, c=5.0 + 0j, K_bound=5.0)
-    r2 = p.r[1]
-    checks = {
-        "f(a) within r+1": math.exp(rep.log_f_a) <= r2 + 1.0,
-        "dist_a in 10r/n": rep.dist_a <= rep.radius_10,
-        "dist_b in 10r/n": rep.dist_b <= rep.radius_10,
+    ts = np.random.default_rng(9).uniform(0.0, 1.0, 2000)
+    reps = [obstruction_chain(p, 2, float(t), c=5.0 + 0j, K_bound=5.0)
+            for t in ts]
+    rep = reps[0]
+    checks = {f"{name} at every angle": all(r.link_flags[name] for r in reps)
+              for name in ("in_disk_a", "in_disk_b", "rho_3b", "f_a_bounded",
+                           "bound_3d_defined")}
+    checks.update({
         "scale 1.41e-8": rep.radius_10 < 1.5e-8,
         "pinch = half log 3": abs(rep.pinch_lower
                                   - 0.5 * math.log(3.0)) <= 1e-12,
         "3d = half log 1.1": rep.rho_lower_3d is not None
         and abs(rep.rho_lower_3d - 0.5 * math.log(1.1)) <= 1e-12,
-    }
+    })
+    share = sum(r.link_flags["f_b_large"] for r in reps) / len(reps)
     bad = [k for k, v in checks.items() if not v]
-    return not bad, (f"dist_a {rep.dist_a:.3e}, dist_b {rep.dist_b:.3e} "
-                     f"<= {rep.radius_10:.3e}; "
-                     + ("all links hold" if not bad
-                        else "failed: " + ", ".join(bad)))
+    return not bad, (f"{len(reps)} angles; f_b_large holds at {share:.3f} "
+                     "of them; " + ("desk-scale links hold" if not bad
+                                    else "failed: " + ", ".join(bad)))
 
 
 def criterion_10(threads_list=(1, 4, 8)) -> tuple[bool, str]:

@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_source(q)
     q.add_argument("--check", required=True, choices=("2a", "2b", "2c"))
     q.add_argument("--k", type=int, required=True, metavar="RING")
-    q.add_argument("--samples", type=int, default=4096)
+    q.add_argument("--samples", type=int, default=4096,
+                   help="2b samples, 2c probes; 2a is exact, only --csv rows")
     q.add_argument("--csv", metavar="FILE",
                    help="also write per-sample rows as CSV")
 
@@ -218,9 +219,16 @@ def _cmd_hyp(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _cmd_verify(args) -> int:
+def _write_csv(path: str, header: list[str], rows) -> None:
     import csv
 
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _cmd_verify(args) -> int:
     from .verify import (
         asymptotic_deviation,
         ring_field,
@@ -235,30 +243,22 @@ def _cmd_verify(args) -> int:
         _emit({"kind": "verify", "check": "2a", **asdict(rep)})
         if args.csv:
             ang, lm, ag = ring_field(p.r[args.k - 1], args.samples, p)
-            with open(args.csv, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["angle", "log_abs_h", "arg_h"])
-                w.writerows(zip(ang, lm, ag))
+            _write_csv(args.csv, ["angle", "log_abs_h", "arg_h"],
+                       zip(ang, lm, ag))
         return 0 if rep.passed else 1
     if args.check == "2b":
         rep = verify_2b(p, args.k, args.samples)
         _emit({"kind": "verify", "check": "2b", **asdict(rep)})
         if args.csv:
             t, rel = asymptotic_deviation(p, args.k, args.samples)
-            with open(args.csv, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["t", "rel_err"])
-                w.writerows(zip(t, rel))
+            _write_csv(args.csv, ["t", "rel_err"], zip(t, rel))
         return 0
     rows = verify_2c(p, args.k, args.samples)
     min_ratio = min(r.ratio for r in rows)
     _emit({"kind": "verify", "check": "2c", "k": args.k,
            "probes": len(rows), "min_ratio": min_ratio})
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["nu", "re_h", "logT", "ratio"])
-            w.writerows(rows)
+        _write_csv(args.csv, ["nu", "re_h", "logT", "ratio"], rows)
     return 0
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import _kernels
 from .hfun import eval_f, eval_h
-from .hyperbolic import sample_disk
 from .logc import LogComplex, Zero
 from .params import ParamSeq, params_digest
 
@@ -231,27 +230,3 @@ def read_grid(path) -> Grid:
                 status=cells["status"].reshape(ny, nx).copy(),
                 step=cells["step"].reshape(ny, nx).copy(),
                 digest=digest)
-
-
-def displacement_certificate(p: ParamSeq, count: int = 100000,
-                             seed: int = 0) -> dict:
-    """Sampled lower bound on |f(z) - z| = e^{Re h(z)} inside the last ring.
-
-    A per-run certificate, not a proof: B is the largest |Re h| seen, so
-    every sampled displacement is at least e^{-B} (reported in log form; the
-    cartesian value may underflow).
-    """
-    R = p.r[-1]
-    z = sample_disk(np.random.default_rng(seed), count, R)
-    code, lm, ag = _kernels.h_field(z.real, z.imag, p)
-    re_h = np.where(code == 1, 0.0, np.exp(lm) * np.cos(ag))
-    finite = bool(np.all(np.isfinite(re_h)))
-    B = float(np.max(np.abs(re_h)))
-    return {
-        "count": count,
-        "radius": R,
-        "all_finite": finite,
-        "B": B,
-        "min_log_displacement": float(np.min(re_h)),
-        "max_log_displacement": float(np.max(re_h)),
-    }

@@ -25,12 +25,14 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# 2*pi as a dyadic rational with 250 fractional bits; the approximation error
-# (< 2^-250) stays far below 1e-9 even after multiplying by a 63-bit quotient.
-_TWO_PI_FRAC = Fraction(
-    11367861777867697633757341961804058207918543041512263436211629722435590452068,
-    1 << 250,
-)
+# 2*pi as a dyadic rational with 1120 fractional bits: a finite double over
+# 2*pi has quotient q < 2^1022, so the error q * 2^-1121 stays below 2^-99.
+_TWO_PI_FRAC = Fraction(int(
+    "6487ed5110b4611a62633145c06e0e68948127044533e63a0105df531d89cd9128a5043"
+    "cc71a026ef7ca8cd9e69d218d98158536f92f8a1ba7f09ab6b6a8e122f242dabb312f3f"
+    "637a262174d31bf6b585ffae5b7a035bf6f71c35fdad44cfd2d74f9208be258ff324943"
+    "328f6722d9ee1003e5c50b1df82cc6d241b0e2ae9cd348b1fd47e9267afc1b2ae91f",
+    16), 1 << 1120)
 _HALF = Fraction(1, 2)
 
 # Largest logmod for which exp() still fits an IEEE double.
@@ -49,8 +51,8 @@ def wrap_angle(a: float) -> float:
 def reduce_angle(x: float) -> float:
     """Reduce an arbitrary finite angle into (-pi, pi].
 
-    Uses exact rational arithmetic against a 250-bit approximation of 2*pi,
-    so the result is faithful to the given double even when ``x`` is huge.
+    Uses exact rational arithmetic against a 1120-bit approximation of
+    2*pi, so the result is faithful to the given double up to 1.8e308.
     """
     if -math.pi < x <= math.pi:
         return x
@@ -87,11 +89,6 @@ class LogComplex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arg", reduce_angle(self.arg))
-
-    def conjugate(self) -> "LogComplex":
-        # arg pi maps to pi (not -pi) to stay inside (-pi, pi]
-        a = self.arg
-        return LogComplex(self.logmod, a if a == math.pi else -a)
 
 
 def lc_pow_int(v: Zero | LogComplex, n: int) -> Zero | LogComplex:

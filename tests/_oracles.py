@@ -9,6 +9,8 @@ routes honestly coupled.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 
 PREC = 200
@@ -37,8 +39,14 @@ def f_ref(z, r, n):
 
 
 def reduce_angle_ref(x: float) -> float:
-    """x mod 2*pi into (-pi, pi], treating x as the exact double."""
+    """x mod 2*pi into (-pi, pi], treating x as the exact double.
+
+    The precision grows by the binary exponent of x (to over 1100 bits near
+    1e308), so the quotient times the error of 2*pi stays far below an ulp
+    of the result.
+    """
     ctx = _ctx()
+    ctx.prec = PREC + max(0, math.frexp(x)[1])
     v = ctx.mpf(x)
     tp = 2 * ctx.pi
     w = ctx.fmod(v, tp)

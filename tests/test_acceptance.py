@@ -6,7 +6,7 @@ bakerlab.acceptance and prints a single PASS/FAIL line with the measured
 detail (visible with `pytest -rA` or `-s`).
 """
 
-from bakerlab import acceptance, hyperbolic
+from bakerlab import acceptance, hyperbolic, verify
 
 
 def _run(index: int) -> None:
@@ -62,6 +62,16 @@ def test_criterion_08_newton_identity():
 
 def test_criterion_09_obstruction_chain():
     _run(9)
+
+
+def test_criterion_09_fails_on_a_broken_link(monkeypatch):
+    # a distance 10x too large puts some a, b pairs beyond 2 log 3
+    true_distance = verify.disk_distance
+    monkeypatch.setattr(verify, "disk_distance",
+                        lambda a, b, d: 10.0 * true_distance(a, b, d))
+    passed, detail = acceptance.criterion_9()
+    assert not passed
+    assert detail.endswith("failed: rho_3b at every angle")
 
 
 def test_criterion_10_thread_determinism():

@@ -11,7 +11,10 @@ import subprocess
 import pytest
 
 from bakerlab import cli, hyperbolic
+from bakerlab.hfun import eval_h
 from bakerlab.params import make_toy, params_to_json
+
+from _oracles import reduce_angle_ref
 
 
 def run_cli(capsys, *argv):
@@ -66,12 +69,26 @@ def test_eval_h_and_f(capsys):
 
 
 def test_eval_escaped_encodes_log_polar(capsys):
+    # |z| >= 2 r_K = 32: no tail bound is claimed
     code, lines, _ = run_cli(capsys, "eval", "--profile", "doubling",
-                             "--z", "20,0", "--what", "f")
+                             "--z", "40,0", "--what", "f")
     assert code == 0
     val = lines[0]["value"]
     assert set(val) == {"logmod", "arg"}
     assert lines[0]["trunc_bound"] == "inf"  # JSON-safe non-finite encoding
+
+
+def test_eval_f_reduces_a_huge_angle(capsys):
+    # z = rect(3e4, 0.2): Im h = -1.8e104, so arg e^h = Im h mod 2 pi needs
+    # 2 pi to far more than 250 bits
+    z = complex(29401.997335237247, 5960.079923851837)
+    code, lines, _ = run_cli(capsys, "eval", "--profile", "doubling",
+                             "--z", f"{z.real!r},{z.imag!r}", "--what", "f")
+    assert code == 0
+    arg = lines[0]["value"]["arg"]
+    assert arg == pytest.approx(-2.0886935980246655, abs=1e-12)
+    im_h = eval_h(z, make_toy("doubling")).value.imag
+    assert arg == pytest.approx(reduce_angle_ref(im_h), abs=1e-15)
 
 
 def test_eval_g(capsys):
@@ -176,6 +193,7 @@ def test_verify_2a_with_csv(capsys, tmp_path):
                              "--samples", "128", "--csv", str(csv_path))
     assert code == 0
     assert lines[0]["passed"] is True
+    assert "tail" in lines[0] and "samples" not in lines[0]
     rows = csv_path.read_text().splitlines()
     assert rows[0] == "angle,log_abs_h,arg_h"
     assert len(rows) == 129

@@ -15,7 +15,6 @@ from bakerlab.dynamics import (
     axis_coords,
     classify_grid,
     default_escape_radius,
-    displacement_certificate,
     iterate,
     read_grid,
     resolve_threads,
@@ -185,14 +184,3 @@ class TestThreads:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             resolve_threads(0)
-
-
-def test_displacement_certificate_sampled_bound():
-    cert = displacement_certificate(DOUBLING, count=2000, seed=1)
-    assert cert["count"] == 2000
-    assert cert["radius"] == 16.0
-    assert cert["all_finite"] is True
-    assert cert["B"] >= abs(cert["min_log_displacement"])
-    assert cert["min_log_displacement"] <= cert["max_log_displacement"]
-    # every sampled displacement e^{Re h} is nonzero: Re h stayed finite
-    assert math.isfinite(cert["B"])

@@ -45,15 +45,34 @@ class TestEvalH:
             assert cmath.isclose(got, ref, rel_tol=5e-13)
 
     def test_truncation_bound_structure(self):
-        # inside half the last ring radius the tail is controlled
+        # |z| = 1 is rho = 1/16 of r_4: expm1((rho/2)^5 / (1 - rho/2^7))
         res = eval_h(1.0, DOUBLING)
-        assert res.trunc_bound == pytest.approx(math.exp(2.0 ** -3) - 1.0,
-                                                abs=1e-15)
+        assert res.trunc_bound == pytest.approx(2.981688185634539e-08,
+                                                rel=1e-14)
         assert res.unbounded_tail is False
-        # beyond it nothing is claimed
-        far = eval_h(9.0, DOUBLING)
+        # finite on the whole disk |z| < 2 r_4, nothing claimed from there on
+        assert math.isfinite(eval_h(31.9, DOUBLING).trunc_bound)
+        far = eval_h(32.0, DOUBLING)
         assert far.unbounded_tail is True
         assert far.trunc_bound == math.inf
+
+    @pytest.mark.parametrize("name", ["doubling", "steep", "paper2"])
+    def test_tail_bound_holds_for_extremal_continuation(self, name):
+        # the continuation the bound allows with the most weight,
+        # r_{K+i} = 2^i r_K and n_{K+i} = K+i, for ten factors; at positive
+        # real z every omitted factor is a positive real, the worst case
+        p = make_toy(name)
+        r = p.r + tuple(2.0 ** i * p.r[-1] for i in range(1, 11))
+        n = p.n + tuple(p.K + i for i in range(1, 11))
+        ratios = []
+        for rho in [*np.linspace(0.05, 1.95, 39), 1.999]:
+            z = float(rho) * p.r[-1]
+            err = float(abs(h_ref(z, r, n) / h_ref(z, p.r, p.n) - 1))
+            bound = eval_h(z, p).trunc_bound
+            assert err <= bound, (rho, err, bound)
+            ratios.append(err / bound)
+        # the bound is within 2x of the truth, so half of it would fail
+        assert max(ratios) > 0.5
 
     def test_truncation_bound_tightens_with_more_rings(self):
         p2 = ParamSeq(r=DOUBLING.r[:2], n=DOUBLING.n[:2])

@@ -44,6 +44,7 @@ def test_wrap_angle_half_open_interval():
 
 @pytest.mark.parametrize("x", [
     0.0, 1.0, -7.25, 6.4, 1e3, -1e6, 1e12, 12345678901234.5, -9.87e15,
+    1e70, 1e100, 1e300, -1.7e308,
 ])
 def test_reduce_angle_matches_high_precision(x):
     got = reduce_angle(x)

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bakerlab import _kernels
 from bakerlab.params import ParamSeq, derive, make_toy
 from bakerlab.verify import (
     asymptotic_deviation,
@@ -39,6 +40,25 @@ class TestGrowthBound:
         rep = verify_2a(DOUBLING, 3, 4096)
         assert math.exp(rep.max_log_abs_h) == pytest.approx(
             578.008819580078125, rel=1e-12)
+
+    def test_closed_form_equals_sampled_maximum(self, monkeypatch):
+        # sample 0 of a 4096-point ring is z = r_k, where the maximum
+        # is attained; verify_2a must reach it without sampling
+        sampled = {}
+        for p in (DOUBLING, STEEP, PAPER2):
+            for k in range(2, p.K + 1):
+                _, lm, _ = ring_field(p.r[k - 1], 4096, p)
+                sampled[p, k] = float(np.max(lm))
+
+        def no_sampling(*args):
+            raise AssertionError("verify_2a evaluated h_field")
+
+        monkeypatch.setattr(_kernels, "h_field", no_sampling)
+        for (p, k), want in sampled.items():
+            rep = verify_2a(p, k, 4096)
+            assert rep.max_log_abs_h == pytest.approx(want, abs=1e-14)
+            assert 0.0 < rep.tail < 1.0
+            assert rep.passed
 
     def test_ring_field_shape_and_live_check(self):
         ang, lm, ag = ring_field(8.0, 64, DOUBLING)
