@@ -18,10 +18,10 @@ import math
 
 import numpy as np
 
+from .logc import TWO_PI, wrap_angle
 from .params import ParamSeq
 
-_TWO_PI_HI = 6.283185307179586
-_TWO_PI_LO = 2.4492935982947064e-16
+_TWO_PI_LO = 2.4492935982947064e-16  # TWO_PI + _TWO_PI_LO is 2*pi to ~1e-32
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split
 _EPS = 2.220446049250313e-16
 
@@ -79,14 +79,9 @@ def two_prod(a, b):
 
 def _reduce_dd(hi: float, lo: float) -> float:
     # reduce hi+lo mod 2*pi into (-pi, pi]; valid while |hi| < 2**53 * 2*pi
-    q = round(hi / _TWO_PI_HI)
-    ph, pl = two_prod(q, _TWO_PI_HI)
-    r = ((hi - ph) + lo) - pl - q * _TWO_PI_LO
-    if r > math.pi:
-        r -= _TWO_PI_HI
-    elif r <= -math.pi:
-        r += _TWO_PI_HI
-    return r
+    q = round(hi / TWO_PI)
+    ph, pl = two_prod(q, TWO_PI)
+    return wrap_angle(((hi - ph) + lo) - pl - q * _TWO_PI_LO)
 
 
 def _h_point(zx, zy, r, nf, logr, eps):
@@ -112,11 +107,8 @@ def _h_point(zx, zy, r, nf, logr, eps):
         elif wlm >= 50.0:
             u = math.exp(-wlm)
             flm = wlm + 0.5 * math.log1p(u * (2.0 * math.cos(wag) + u))
-            fag = wag + math.atan2(-u * math.sin(wag), 1.0 + u * math.cos(wag))
-            if fag > math.pi:
-                fag -= _TWO_PI_HI
-            elif fag <= -math.pi:
-                fag += _TWO_PI_HI
+            fag = wrap_angle(
+                wag + math.atan2(-u * math.sin(wag), 1.0 + u * math.cos(wag)))
         else:
             m = math.exp(wlm)
             x = 1.0 + m * math.cos(wag)
@@ -126,11 +118,7 @@ def _h_point(zx, zy, r, nf, logr, eps):
             flm = math.log(math.hypot(x, y))
             fag = math.atan2(y, x)
         acc_lm += flm
-        acc_ag += fag
-        if acc_ag > math.pi:
-            acc_ag -= _TWO_PI_HI
-        elif acc_ag <= -math.pi:
-            acc_ag += _TWO_PI_HI
+        acc_ag = wrap_angle(acc_ag + fag)
     return False, acc_lm, acc_ag
 
 
@@ -141,13 +129,13 @@ def _h_point(zx, zy, r, nf, logr, eps):
 
 def _wrap_np(a):
     # in place: values just past +-pi back into (-pi, pi]
-    a[a > math.pi] -= _TWO_PI_HI
-    a[a <= -math.pi] += _TWO_PI_HI
+    a[a > math.pi] -= TWO_PI
+    a[a <= -math.pi] += TWO_PI
 
 
 def _reduce_np(x, lo=0.0):
-    q = np.rint(x / _TWO_PI_HI)
-    ph, pl = two_prod(q, _TWO_PI_HI)
+    q = np.rint(x / TWO_PI)
+    ph, pl = two_prod(q, TWO_PI)
     r = ((x - ph) + lo) - pl - q * _TWO_PI_LO
     _wrap_np(r)
     return r

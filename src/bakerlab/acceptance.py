@@ -38,6 +38,7 @@ MAX_ABS_H_DOUBLING_K3 = 578.008819580078125  # max |h| on the k=3 ring
 RATIO_DOUBLING_K2_NU0 = 4.0849780043325320  # Re h(b_{2,0}) / T_2
 G_AT_ONE = 0.71240485121370046  # g(1) for the doubling profile
 REL_2B_TOL = 0.15  # cap for the k=4 steep deviation (measured 0.0352)
+THREAD_COUNTS = (1, 4, 8)  # criterion 10's row-band thread counts
 
 
 class CriterionResult(NamedTuple):
@@ -207,17 +208,17 @@ def criterion_9() -> tuple[bool, str]:
                                     else "failed: " + ", ".join(bad)))
 
 
-def criterion_10(threads_list=(1, 4, 8)) -> tuple[bool, str]:
+def criterion_10() -> tuple[bool, str]:
     """Grid classification and rendering byte-identical across thread counts."""
     p = make_toy("doubling")
     outputs = []
-    for threads in threads_list:
+    for threads in THREAD_COUNTS:
         g = classify_grid((-8.0 - 8.0j, 8.0 + 8.0j), 256, 256, p,
                           max_steps=40, escape_radius=64.0, threads=threads)
         img = render_escape(g, "ember")
         outputs.append(g.status.tobytes() + g.step.tobytes() + img)
     ok = all(o == outputs[0] for o in outputs[1:])
-    return ok, (f"threads {list(threads_list)}: "
+    return ok, (f"threads {list(THREAD_COUNTS)}: "
                 + ("identical" if ok else "DIFFER"))
 
 

@@ -350,7 +350,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError, KeyError, IndexError, NonConvergence) as exc:
+    except (ValueError, OSError, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,11 +19,11 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import CARTESIAN_BAND
-from .logc import CARTESIAN_LOGMOD_MAX, ZERO, LogComplex, Zero, reduce_angle
+from .logc import (CARTESIAN_LOGMOD_MAX, TWO_PI, ZERO, LogComplex, Zero,
+                   reduce_angle)
 from .params import ParamSeq, derive
 
 E = math.e
-TWO_PI = 2.0 * math.pi
 
 
 class NonConvergence(ArithmeticError):
@@ -33,28 +33,32 @@ class NonConvergence(ArithmeticError):
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of h or f with truncation-error and overflow classification.
+    """Value of h or f with its truncation-error bound.
 
     value is a cartesian complex when representable, the Zero marker at exact
-    zeros, or a LogComplex once the magnitude leaves cartesian range (regime
-    "escaped").  trunc_bound bounds the relative error of the omitted
-    product tail for every continuation r_{K+i} >= 2^i r_K, n_{K+i} >= K+i
-    (`ring_log_max`); from |z| >= 2 r_K it is +inf and unbounded_tail is
-    set.  perturbation records the size of an additive term that was
-    dropped relative to an escaped magnitude.
+    zeros, or a LogComplex once the magnitude leaves cartesian range.
+    trunc_bound bounds the relative error of the omitted product tail for
+    every continuation r_{K+i} >= 2^i r_K, n_{K+i} >= K+i (`ring_log_max`);
+    from |z| >= 2 r_K it is +inf.  `regime` and `unbounded_tail` (the keys
+    of `bakerlab eval`'s output) follow from these two fields.
     """
 
     value: Union[complex, Zero, LogComplex]
     trunc_bound: float
-    regime: str  # "exact-ish" | "escaped"
-    unbounded_tail: bool = False
-    perturbation: float = 0.0
 
     def __post_init__(self):
         if not (self.trunc_bound >= 0.0):
             raise ValueError("trunc_bound must be >= 0")
-        if self.regime not in ("exact-ish", "escaped"):
-            raise ValueError(f"unknown regime {self.regime!r}")
+
+    @property
+    def regime(self) -> str:
+        """Either "escaped" (value is a LogComplex) or "exact-ish"."""
+        return "escaped" if isinstance(self.value, LogComplex) else "exact-ish"
+
+    @property
+    def unbounded_tail(self) -> bool:
+        """No tail bound is claimed here: |z| >= 2 r_K."""
+        return self.trunc_bound == math.inf
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,14 @@ def ring_log_max(p: ParamSeq, R: float) -> tuple[float, float]:
         x = n_j * (logR - math.log(r_j))
         terms.append(x + math.log1p(math.exp(-x)) if x > 0.0
                      else math.log1p(math.exp(x)))
+    return math.fsum(terms), _ring_tail(p, R)
+
+
+def _ring_tail(p: ParamSeq, R: float) -> float:
+    # the tail term of `ring_log_max`, S(rho) <= (rho/2)^{K+1} / (1 - q)
     rho = R / p.r[-1]
-    tail = (math.inf if rho >= 2.0 else
+    return (math.inf if rho >= 2.0 else
             (0.5 * rho) ** (p.K + 1) / (1.0 - rho * 2.0 ** -(p.K + 3)))
-    return math.fsum(terms), tail
 
 
 def eval_h(z: complex, p: ParamSeq) -> EvalResult:
@@ -111,17 +119,17 @@ def eval_h(z: complex, p: ParamSeq) -> EvalResult:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite input ({z.real}, {z.imag})")
-    tail = ring_log_max(p, abs(z))[1]
-    bound, unbounded = math.expm1(tail), tail == math.inf
+    bound = math.expm1(_ring_tail(p, abs(z)))
     is0, lm, ag = _kernels._h_point(z.real, z.imag, *_kernels.prepared(p))
     if is0:
-        return EvalResult(ZERO, bound, "exact-ish", unbounded)
-    if abs(lm) <= CARTESIAN_BAND:
+        value = ZERO
+    elif abs(lm) <= CARTESIAN_BAND:
         mod = math.exp(lm)
         value = complex(mod * math.cos(ag), mod * math.sin(ag))
-        return EvalResult(value, bound, "exact-ish", unbounded)
-    return EvalResult(LogComplex(float(lm), float(ag)), bound, "escaped",
-                      unbounded)
+    else:
+        # a factor in the core's large-modulus branch leaves numpy scalars
+        value = LogComplex(float(lm), float(ag))
+    return EvalResult(value, bound)
 
 
 def eval_f(z: complex, p: ParamSeq,
@@ -133,24 +141,17 @@ def eval_f(z: complex, p: ParamSeq,
     z = complex(z)
     if hres is None:
         hres = eval_h(z, p)
-    if isinstance(hres.value, Zero):
-        # e^0 = 1: exact unit translation
-        return EvalResult(z + 1.0, hres.trunc_bound, "exact-ish",
-                          hres.unbounded_tail)
-    if isinstance(hres.value, LogComplex):
+    h = hres.value
+    if isinstance(h, Zero):
+        value = z + 1.0  # e^0 = 1: exact unit translation
+    elif isinstance(h, LogComplex):
         # |h| itself beyond cartesian range: e^h is 0 or an over-overflow
-        if math.cos(hres.value.arg) >= 0.0:
-            value = LogComplex(math.inf, 0.0)
-            return EvalResult(value, hres.trunc_bound, "escaped",
-                              hres.unbounded_tail, perturbation=abs(z))
-        return EvalResult(z, hres.trunc_bound, "exact-ish", hres.unbounded_tail)
-    hc = hres.value
-    if hc.real > CARTESIAN_BAND:
-        value = LogComplex(hc.real, reduce_angle(hc.imag))
-        return EvalResult(value, hres.trunc_bound, "escaped",
-                          hres.unbounded_tail, perturbation=abs(z))
-    value = z + cmath.exp(hc)  # exp may underflow to 0, leaving f = z
-    return EvalResult(value, hres.trunc_bound, "exact-ish", hres.unbounded_tail)
+        value = LogComplex(math.inf, 0.0) if math.cos(h.arg) >= 0.0 else z
+    elif h.real > CARTESIAN_BAND:
+        value = LogComplex(h.real, reduce_angle(h.imag))
+    else:
+        value = z + cmath.exp(h)  # exp may underflow to 0, leaving f = z
+    return EvalResult(value, hres.trunc_bound)
 
 
 def stored_zeros(p: ParamSeq) -> list[tuple[int, int, complex]]:
@@ -191,10 +192,10 @@ def theta(phi: float) -> float:
 def probe_point(k: int, nu: int, p: ParamSeq) -> ProbePoint:
     """Zero a and probe b on ring k (1-indexed, k >= 2) at sector nu."""
     if not 2 <= k <= p.K:
-        raise IndexError(f"k must be in [2, {p.K}]")
+        raise ValueError(f"k must be in [2, {p.K}]")
     n_k = p.n[k - 1]
     if not 0 <= nu < n_k:
-        raise IndexError(f"nu must be in [0, {n_k})")
+        raise ValueError(f"nu must be in [0, {n_k})")
     d = derive(p)
     r_k = p.r[k - 1]
     s_k = d.s[k - 1]

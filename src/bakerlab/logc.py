@@ -19,12 +19,13 @@ __all__ = [
     "LogComplex",
     "Zero",
     "ZERO",
+    "TWO_PI",
     "lc_pow_int",
     "wrap_angle",
     "reduce_angle",
 ]
 
-_TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * math.pi
 # 2*pi as a dyadic rational with 1120 fractional bits: a finite double over
 # 2*pi has quotient q < 2^1022, so the error q * 2^-1121 stays below 2^-99.
 _TWO_PI_FRAC = Fraction(int(
@@ -42,9 +43,9 @@ CARTESIAN_LOGMOD_MAX = math.log(1.7976931348623157e308)  # ~709.78
 def wrap_angle(a: float) -> float:
     """Move an angle already within (-3pi, 3pi] into (-pi, pi]."""
     if a > math.pi:
-        a -= _TWO_PI
+        a -= TWO_PI
     elif a <= -math.pi:
-        a += _TWO_PI
+        a += TWO_PI
     return a
 
 

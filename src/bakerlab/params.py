@@ -118,7 +118,7 @@ def derive(p: ParamSeq) -> DerivedParams:
 DEGREE_EXPONENT_CAP = 700.0
 
 
-def validate_1b(p: ParamSeq, exponent_cap: float = DEGREE_EXPONENT_CAP) -> ValidityReport:
+def validate_1b(p: ParamSeq) -> ValidityReport:
     """Check the growth condition clause by clause.
 
     Failures are report content, not errors.  The degree clause is evaluated
@@ -135,7 +135,7 @@ def validate_1b(p: ParamSeq, exponent_cap: float = DEGREE_EXPONENT_CAP) -> Valid
         )
         inner = d.m[k - 1] * math.log(rk)
         lhs = math.log(p.n[k - 1])
-        if inner > exponent_cap:
+        if inner > DEGREE_EXPONENT_CAP:
             clauses.append(
                 ClauseCheck(
                     k=k, name="degree", ok=False, lhs=lhs, rhs=math.inf,

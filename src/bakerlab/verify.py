@@ -17,9 +17,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _kernels
-from .hfun import E, TWO_PI, eval_f, probe_point, ring_log_max
+from .hfun import E, eval_f, probe_point, ring_log_max
 from .hyperbolic import TWO_LOG3, DiskSpec, disk_distance
-from .logc import LogComplex
+from .logc import TWO_PI, LogComplex
 from .params import ParamSeq, derive
 
 

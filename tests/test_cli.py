@@ -286,6 +286,17 @@ def test_selftest_rejects_criterion_out_of_range(capsys, index):
     assert err == "error: criterion index must be in 1..11\n"
 
 
+@pytest.mark.parametrize("exc", [KeyError, IndexError])
+def test_internal_errors_are_not_config_errors(monkeypatch, exc):
+    # exit 2 is for bad input; an error raised inside a subcommand is a bug
+    def broken(args):
+        raise exc("internal")
+
+    monkeypatch.setitem(cli._DISPATCH, "params", broken)
+    with pytest.raises(exc):
+        cli.main(["params", "--profile", "doubling"])
+
+
 def test_console_script_end_to_end():
     exe = shutil.which("bakerlab")
     if exe is None:

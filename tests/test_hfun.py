@@ -2,12 +2,15 @@
 contour machinery for g = exp(-integral of e^{-h})."""
 
 import cmath
+import hashlib
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from bakerlab import hfun
+from bakerlab.dynamics import iterate
 from bakerlab.hfun import (
     NonConvergence,
     eval_f,
@@ -114,7 +117,54 @@ class TestEvalF:
         # Re h(20) at 200 bits
         ref = h_ref(20.0, DOUBLING.r, DOUBLING.n)
         assert res.value.logmod == pytest.approx(float(ref.real), rel=1e-13)
-        assert res.perturbation == 20.0
+
+
+class TestScalarPath:
+    # SHA-256 over repr((value, trunc_bound, regime, unbounded_tail)) of
+    # eval_h and eval_f at _scalar_points, recorded while EvalResult still
+    # stored all four; the derived regime and tail flag must not move a byte.
+    # A libm that rounds differently from the recording machine (x86-64)
+    # would also change them.
+    DIGESTS = {
+        "doubling":
+            "7cdfc54a68781536123d3d1bcda7951c3c01c4ff296453571588be21833ba9e7",
+        "steep":
+            "51d6d45236485d5f50041b6341bba771930b390ee2ef206943615599a8f123da",
+        "paper2":
+            "0307df28263ad3ab24a84d3a06faf79064250587f80ea58dc7703d12f6f78f7c",
+    }
+
+    @staticmethod
+    def _scalar_points(p):
+        # log-uniform |z| over e^-60..e^60, the CLI examples 1,0 and 0,2, and
+        # every stored zero except paper2's 2.8e9
+        rng = np.random.default_rng(11)
+        z = np.exp(rng.uniform(-60.0, 60.0, 1500)
+                   + 1j * rng.uniform(-math.pi, math.pi, 1500))
+        pts = [complex(w) for w in z] + [1.0 + 0j, 2j]
+        if p.n[-1] < 10**6:
+            pts += [a for _, _, a in stored_zeros(p)]
+        return pts
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_results_are_pinned(self, name):
+        p = make_toy(name)
+        digest = hashlib.sha256()
+        for z in self._scalar_points(p):
+            for res in (eval_h(z, p), eval_f(z, p)):
+                digest.update(repr((res.value, res.trunc_bound, res.regime,
+                                    res.unbounded_tail)).encode())
+        assert digest.hexdigest() == self.DIGESTS[name]
+
+    def test_scalar_path_does_not_sum_the_stored_product(self, monkeypatch):
+        # the tail bound needs only the tail term of ring_log_max
+        def refuse(p, R):
+            raise AssertionError("ring_log_max called")
+
+        monkeypatch.setattr(hfun, "ring_log_max", refuse)
+        assert isinstance(eval_h(2j, DOUBLING).value, Zero)
+        assert eval_f(1.0, DOUBLING).trunc_bound > 0.0
+        assert iterate(0.5, DOUBLING, max_steps=5).points
 
 
 class TestTheta:
@@ -171,11 +221,11 @@ class TestProbePoint:
                 assert pp.p >= E - 1.0 - 1e-12
 
     def test_index_bounds(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             probe_point(1, 0, DOUBLING)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             probe_point(5, 0, DOUBLING)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             probe_point(2, 4, DOUBLING)
 
 

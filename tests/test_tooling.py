@@ -1,13 +1,16 @@
-"""The traced benchmark run wraps library functions by module and name
-(`perfbench/tracing.py`); every name it lists must still exist."""
+"""Static checks on the source tree: the traced benchmark run wraps library
+functions by module and name (`perfbench/tracing.py`), so every name it lists
+must still exist; and no module keeps an import it does not use."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_trace_targets_resolve():
@@ -20,3 +23,32 @@ def test_trace_targets_resolve():
                if not callable(getattr(importlib.import_module(
                    f"bakerlab.{mod}"), fn, None))]
     assert tracing.TARGETS and not missing
+
+
+def _unused_imports(path):
+    # names a module imports but never reads; __all__ counts as a use
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}"
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export
+    modules = [p for p in sorted((ROOT / "src" / "bakerlab").glob("*.py"))
+               if p.name != "__init__.py"]
+    assert modules
+    assert [u for p in modules for u in _unused_imports(p)] == []
