@@ -3,9 +3,11 @@ and orbit classification.
 
 `_h_point` is the only scalar definition of h; `hfun.eval_h` wraps it for
 single points.  Batches go through one vectorized numpy path,
-`_h_field_numpy` and `_classify_numpy`.  Per-pixel results are independent
-of how the input is batched, which is what makes row-parallel callers
-deterministic across thread counts.
+`_h_field_numpy` and `_classify_numpy`.  Both paths read the same factor
+table, `prepared(p)`, of built-in floats, so the scalar core computes on
+floats and returns them.  Per-pixel results are independent of how the
+input is batched, which is what makes row-parallel callers deterministic
+across thread counts.
 
 The compensated angle multiplication is exact only for degrees
 ``n_k < 2**53``; `ParamSeq` enforces that bound.
@@ -41,18 +43,16 @@ def factor_snap_eps(n: int) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def prepared(p: ParamSeq) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-profile constant arrays (radii, degrees, log radii, snap tolerances).
+def prepared(p: ParamSeq) -> tuple[tuple[float, float, float], ...]:
+    """The factor table: one ``(n, log r, snap_eps)`` float triple per factor.
 
-    Built once per profile and shared between callers, so they are read-only.
+    Built once per profile and shared between callers, so it is immutable.
+    ``log r`` is numpy's log, the one the pinned output digests were
+    recorded with; libm's may differ from it by an ulp.
     """
-    r = np.array(p.r, dtype=np.float64)
-    nf = np.array(p.n, dtype=np.float64)
-    logr = np.log(r)
-    eps = np.array([factor_snap_eps(n) for n in p.n], dtype=np.float64)
-    for a in (r, nf, logr, eps):
-        a.flags.writeable = False
-    return r, nf, logr, eps
+    logr = np.log(np.array(p.r, dtype=np.float64)).tolist()
+    return tuple((float(n), lr, factor_snap_eps(n))
+                 for n, lr in zip(p.n, logr))
 
 
 def two_prod(a, b):
@@ -84,7 +84,7 @@ def _reduce_dd(hi: float, lo: float) -> float:
     return wrap_angle(((hi - ph) + lo) - pl - q * _TWO_PI_LO)
 
 
-def _h_point(zx, zy, r, nf, logr, eps):
+def _h_point(zx, zy, factors):
     # returns (is_zero, logmod, arg) of the truncated product at zx+i*zy
     if zx == 0.0 and zy == 0.0:
         return False, 0.0, 0.0
@@ -92,13 +92,12 @@ def _h_point(zx, zy, r, nf, logr, eps):
     agz = math.atan2(zy, zx)
     acc_lm = 0.0
     acc_ag = 0.0
-    for k in range(r.shape[0]):
-        n = nf[k]
-        wlm = n * (lmz - logr[k])
+    for n, logr, eps in factors:
+        wlm = n * (lmz - logr)
         # compensated n*arg, then mod 2*pi
         hi, lo = two_prod(n, agz)
         wag = _reduce_dd(hi, lo)
-        if abs(wlm) <= eps[k] and (math.pi - abs(wag)) <= eps[k]:
+        if abs(wlm) <= eps and (math.pi - abs(wag)) <= eps:
             return True, -math.inf, 0.0
         if wlm <= -50.0:
             t = math.exp(wlm)
@@ -141,7 +140,7 @@ def _reduce_np(x, lo=0.0):
     return r
 
 
-def _h_field_numpy(zx, zy, r, nf, logr, eps):
+def _h_field_numpy(zx, zy, factors):
     # each factor's three magnitude regimes are evaluated on their own points
     flm = np.empty_like(zx)
     fag = np.empty_like(zx)
@@ -151,9 +150,8 @@ def _h_field_numpy(zx, zy, r, nf, logr, eps):
         acc_lm = np.zeros_like(zx)
         acc_ag = np.zeros_like(zx)
         zero = np.zeros(zx.shape, dtype=bool)
-        for k in range(len(r)):
-            n = nf[k]
-            wlm = n * (lmz - logr[k])
+        for n, logr, eps in factors:
+            wlm = n * (lmz - logr)
             hi, lo = two_prod(n, agz)
             wag = _reduce_np(hi, lo)
             cw = np.cos(wag)
@@ -182,8 +180,8 @@ def _h_field_numpy(zx, zy, r, nf, logr, eps):
                 x = 1.0 + m * cw[mid]
                 y = m * sw[mid]
                 # snapped to the factor's zero, or exactly zero in floating point
-                zero[mid] |= (((np.abs(w) <= eps[k])
-                               & ((math.pi - np.abs(wag[mid])) <= eps[k]))
+                zero[mid] |= (((np.abs(w) <= eps)
+                               & ((math.pi - np.abs(wag[mid])) <= eps))
                               | ((x == 0.0) & (y == 0.0)))
                 flm[mid] = np.log(np.hypot(x, y))
                 fag[mid] = np.arctan2(y, x)
@@ -199,56 +197,48 @@ def _h_field_numpy(zx, zy, r, nf, logr, eps):
     return zero.astype(np.uint8), acc_lm, acc_ag
 
 
-def _classify_numpy(zx, zy, r, nf, logr, eps, max_steps, escape_radius):
+def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
     npts = zx.shape[0]
-    status = np.zeros(npts, dtype=np.uint8)
-    step = np.zeros(npts, dtype=np.uint32)
-    # the active orbits, compacted whenever some of them finish
-    idx = np.arange(npts)
-    x, y = zx, zy
+    # per start point, by global index: escape step (0 while bounded) and
+    # the first near-zero-translation step
+    esc_step = np.zeros(npts, dtype=np.uint32)
     nzt = np.zeros(npts, dtype=bool)
     nzt_step = np.zeros(npts, dtype=np.uint32)
+    # the active orbits, compacted after every step
+    idx = np.arange(npts)
+    x, y = zx, zy
     esc2 = escape_radius * escape_radius
     for s in range(max_steps):
         if idx.size == 0:
             break
-        code, hlm, hag = _h_field_numpy(x, y, r, nf, logr, eps)
-        is0 = code == 1
-        fresh = (hlm < LOG_LN2) & ~nzt
-        nzt |= fresh
+        code, hlm, hag = _h_field_numpy(x, y, factors)
+        fresh = idx[(hlm < LOG_LN2) & ~nzt[idx]]
+        nzt[fresh] = True
         nzt_step[fresh] = s
         with np.errstate(over="ignore", invalid="ignore"):
+            # a snapped zero has hlm = -inf and hag = 0, so h is exactly 0
             big = hlm > CARTESIAN_BAND
-            mod = np.exp(np.where(big | is0, 0.0, hlm))
-            re_h = np.where(
-                big,
-                np.where(np.cos(hag) >= 0.0, np.inf, -np.inf),
-                mod * np.cos(hag),
-            )
+            ch = np.cos(hag)
+            mod = np.exp(np.where(big, 0.0, hlm))
+            re_h = np.where(big, np.where(ch >= 0.0, np.inf, -np.inf), mod * ch)
             im_h = np.where(big, 0.0, mod * np.sin(hag))
-            re_h = np.where(is0, 0.0, re_h)
-            im_h = np.where(is0, 0.0, im_h)
             esc_log = re_h > CARTESIAN_BAND
             emod = np.exp(np.where(esc_log, 0.0, re_h))
             ia = _reduce_np(np.where(esc_log, 0.0, im_h))
-            nx = np.where(is0, x + 1.0, x + emod * np.cos(ia))
-            ny = np.where(is0, y, y + emod * np.sin(ia))
+            nx = x + emod * np.cos(ia)
+            # at a snapped zero the step is exactly +1; adding sin(0) to y
+            # would turn a -0.0 into +0.0
+            ny = np.where(code == 1, y, y + emod * np.sin(ia))
             out = esc_log | (nx * nx + ny * ny > esc2)
+        esc_step[idx[out]] = s + 1
         # frozen at a floating-point fixed point: every later step repeats
         # this one, so the orbit never escapes and its flag is final
-        frozen = ~out & (nx == x) & (ny == y)
-        done = out | frozen
-        if done.any():
-            status[idx[out]] = np.where(nzt[out], 3, 1)
-            step[idx[out]] = s + 1
-            status[idx[frozen]] = np.where(nzt[frozen], 2, 0)
-            step[idx[frozen]] = np.where(nzt[frozen], nzt_step[frozen], 0)
-            keep = ~done
-            idx, nx, ny, nzt, nzt_step = (
-                idx[keep], nx[keep], ny[keep], nzt[keep], nzt_step[keep])
-        x, y = nx, ny
-    status[idx] = np.where(nzt, 2, 0)
-    step[idx] = np.where(nzt, nzt_step, 0)
+        frozen = (nx == x) & (ny == y)
+        keep = ~(out | frozen)
+        idx, x, y = idx[keep], nx[keep], ny[keep]
+    escaped = esc_step > 0
+    status = (escaped + 2 * nzt).astype(np.uint8)
+    step = np.where(escaped, esc_step, nzt_step)
     return status, step
 
 
@@ -270,7 +260,7 @@ def h_field(zx, zy, p: ParamSeq):
     """
     zx = np.ascontiguousarray(zx, dtype=np.float64)
     zy = np.ascontiguousarray(zy, dtype=np.float64)
-    return _h_field_numpy(zx, zy, *prepared(p))
+    return _h_field_numpy(zx, zy, prepared(p))
 
 
 def check_escape_radius(p: ParamSeq, escape_radius: float) -> None:
@@ -296,7 +286,7 @@ def classify_field(zx, zy, p: ParamSeq, max_steps: int, escape_radius: float):
     check_escape_radius(p, escape_radius)
     zx = np.ascontiguousarray(zx, dtype=np.float64)
     zy = np.ascontiguousarray(zy, dtype=np.float64)
-    return _classify_numpy(zx, zy, *prepared(p), max_steps, escape_radius)
+    return _classify_numpy(zx, zy, prepared(p), max_steps, escape_radius)
 
 
 def warmup() -> None:

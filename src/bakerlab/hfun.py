@@ -120,15 +120,14 @@ def eval_h(z: complex, p: ParamSeq) -> EvalResult:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite input ({z.real}, {z.imag})")
     bound = math.expm1(_ring_tail(p, abs(z)))
-    is0, lm, ag = _kernels._h_point(z.real, z.imag, *_kernels.prepared(p))
+    is0, lm, ag = _kernels._h_point(z.real, z.imag, _kernels.prepared(p))
     if is0:
         value = ZERO
     elif abs(lm) <= CARTESIAN_BAND:
         mod = math.exp(lm)
         value = complex(mod * math.cos(ag), mod * math.sin(ag))
     else:
-        # a factor in the core's large-modulus branch leaves numpy scalars
-        value = LogComplex(float(lm), float(ag))
+        value = LogComplex(lm, ag)
     return EvalResult(value, bound)
 
 

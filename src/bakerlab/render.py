@@ -59,6 +59,14 @@ def render_escape(grid: Grid, palette: str = "ember") -> bytes:
     return ppm_bytes(pixels)
 
 
+# value-scaled HSV with full saturation: in hue sector s each channel is
+# base[s] + slope[s] * frac, one of 0, 1, frac and 1 - frac
+_HUE_BASE = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                      [0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+_HUE_SLOPE = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                       [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+
+
 def phase_shade(logmod: np.ndarray, arg: np.ndarray) -> np.ndarray:
     """RGB shading of a log-polar field: brightness squashes the log-modulus
     into (0, 1), hue runs over the folded argument."""
@@ -67,14 +75,8 @@ def phase_shade(logmod: np.ndarray, arg: np.ndarray) -> np.ndarray:
     h6 = np.clip(hue, 0.0, 1.0) * 5.0  # 5 sectors, red back to magenta-ish
     sector = np.floor(h6).astype(np.int64)
     frac = h6 - sector
-    q = 1.0 - frac
-    ones = np.ones_like(frac)
-    zeros = np.zeros_like(frac)
-    # value-scaled HSV with full saturation, per sector
-    r = np.choose(sector % 6, [ones, q, zeros, zeros, frac, ones])
-    g = np.choose(sector % 6, [frac, ones, ones, q, zeros, zeros])
-    b = np.choose(sector % 6, [zeros, zeros, frac, ones, ones, q])
-    rgb = np.stack([r, g, b], axis=-1) * v[..., None] * 255.0
+    s = sector % 6
+    rgb = (_HUE_BASE[s] + _HUE_SLOPE[s] * frac[..., None]) * v[..., None] * 255.0
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
 
 

@@ -23,8 +23,8 @@ PROFILES = [make_toy(name) for name in ("doubling", "steep", "paper2")]
 
 def _loop_field(zx, zy, p):
     # the scalar core called point by point, in the vector path's layout
-    arrays = _kernels.prepared(p)
-    rows = (_kernels._h_point(x, y, *arrays) for x, y in zip(zx, zy))
+    factors = _kernels.prepared(p)
+    rows = (_kernels._h_point(x, y, factors) for x, y in zip(zx, zy))
     is0, lm, ag = zip(*rows)
     return np.array(is0, dtype=np.uint8), np.array(lm), np.array(ag)
 
@@ -36,7 +36,7 @@ def _field_at(points, p, path=None):
     if path == "loop":
         return _loop_field(zx, zy, p)
     if path == "numpy":
-        return _kernels._h_field_numpy(zx, zy, *_kernels.prepared(p))
+        return _kernels._h_field_numpy(zx, zy, _kernels.prepared(p))
     return _kernels.h_field(zx, zy, p)
 
 
@@ -94,7 +94,7 @@ def test_loop_and_numpy_agree_on_field(p):
     zx = rng.uniform(-20, 20, 500)
     zy = rng.uniform(-20, 20, 500)
     c0, l0, a0 = _loop_field(zx, zy, p)
-    c1, l1, a1 = _kernels._h_field_numpy(zx, zy, *_kernels.prepared(p))
+    c1, l1, a1 = _kernels._h_field_numpy(zx, zy, _kernels.prepared(p))
     assert np.array_equal(c0, c1)
     m = np.isfinite(l0)
     assert np.array_equal(m, np.isfinite(l1))
@@ -117,10 +117,28 @@ def test_active_backend_names_the_path_in_use():
 
 def test_prepared_is_built_once_per_profile_and_read_only():
     p = make_toy("steep")
-    arrays = _kernels.prepared(p)
-    assert _kernels.prepared(make_toy("steep")) is arrays
-    for a in arrays:
-        assert not a.flags.writeable
+    factors = _kernels.prepared(p)
+    assert _kernels.prepared(make_toy("steep")) is factors
+    # an immutable table of (n, log r, snap_eps) built-in float triples
+    assert type(factors) is tuple and len(factors) == p.K
+    for row in factors:
+        assert type(row) is tuple
+        assert [type(v) for v in row] == [float, float, float]
+    assert [row[0] for row in factors] == [float(n) for n in p.n]
+
+
+@pytest.mark.parametrize("profile, z", [
+    ("doubling", 1e-12 + 1e-12j),  # every factor small: |w| <= e^-50
+    ("doubling", 1.5 + 0.7j),  # every factor mid
+    ("steep", 40.0 + 1.0j),  # large-modulus branch: |w| >= e^50
+    ("doubling", 2j),  # a snapped zero
+], ids=["small", "mid", "large", "zero"])
+def test_scalar_core_returns_builtin_floats(profile, z):
+    is0, lm, ag = _kernels._h_point(z.real, z.imag,
+                                    _kernels.prepared(make_toy(profile)))
+    assert type(is0) is bool
+    # np.float64 is a float subclass, so compare the exact type
+    assert (type(lm), type(ag)) == (float, float)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +204,7 @@ def test_grid_bytes_are_pinned(case):
 def test_field_bytes_are_pinned(name):
     p = make_toy(name)
     zx, zy = _regime_points(p)
-    code, lm, ag = _kernels._h_field_numpy(zx, zy, *_kernels.prepared(p))
+    code, lm, ag = _kernels._h_field_numpy(zx, zy, _kernels.prepared(p))
     assert code[-3:].tolist() == [0, 1, 1]
     assert _sha(code, lm, ag) == FIELD_DIGESTS[name]
 
@@ -228,7 +246,7 @@ def test_frozen_orbit_keeps_its_near_zero_flag(monkeypatch):
 
     zx, zy = np.array([z.real]), np.array([z.imag])
     seen = _count_points(monkeypatch, "_h_field_numpy")
-    status, step = _kernels._classify_numpy(zx, zy, *_kernels.prepared(DOUBLING),
+    status, step = _kernels._classify_numpy(zx, zy, _kernels.prepared(DOUBLING),
                                             40, 64.0)
     assert (status[0], step[0]) == (2, nzt_step)
     assert len(seen) == frozen_at + 1  # one evaluation per step up to the freeze

@@ -27,8 +27,8 @@ def _one_plus(z, r=1.0):
     of z unchanged, so this drives that step directly.
     """
     is0, lm, ag = _kernels._h_point(z.real, z.imag,
-                                    *_kernels.prepared(ParamSeq((r,), (1,))))
-    return ZERO if is0 else LogComplex(float(lm), float(ag))
+                                    _kernels.prepared(ParamSeq((r,), (1,))))
+    return ZERO if is0 else LogComplex(lm, ag)
 
 
 def test_wrap_angle_half_open_interval():

@@ -1,5 +1,7 @@
 """PPM rendering: format, palette rules, and byte-level determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,29 @@ def test_escape_render_matches_grid_dimensions():
     g = classify_grid((-4 - 4j, 4 + 4j), 12, 7, DOUBLING, max_steps=10)
     ppm = render_escape(g)
     assert ppm.startswith(b"P6\n12 7\n255\n")
+
+
+# SHA-256 of phase-portrait PPMs, recorded before the shader became
+# table-driven.  "doubling-zero" hits all six hue sectors (the sixth only
+# where arg h == pi, on the real axis) and the snapped zeros at +-2i;
+# "steep-rings" straddles every ring, so all three magnitude regimes show.
+PHASE_DIGESTS = {
+    "doubling-zero":
+        "606f46c80108559fda71874d23339807bd9822ecd4cb5e1fe1bced3b97d2f993",
+    "steep-rings":
+        "c5a05988ebf5262638b250180d4b314096e974d77ca59722b02451896ffff09a",
+    "paper2":
+        "e47b09f64b19782fc3d4f1b5f009719149fc11f3205a46d458a8d132b0c61842",
+}
+PHASE_CASES = {
+    "doubling-zero": ((-8 - 8j, 8 + 8j), 65, 65, "doubling"),
+    "steep-rings": ((-11 - 9j, 13 + 15j), 61, 47, "steep"),
+    "paper2": ((-30 - 30j, 30 + 30j), 41, 41, "paper2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_CASES))
+def test_phase_bytes_are_pinned(case):
+    rect, nx, ny, profile = PHASE_CASES[case]
+    ppm = render_phase(rect, nx, ny, make_toy(profile), threads=1)
+    assert hashlib.sha256(ppm).hexdigest() == PHASE_DIGESTS[case]
