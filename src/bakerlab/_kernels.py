@@ -6,8 +6,13 @@ single points.  Batches go through one vectorized numpy path,
 `_h_field_numpy` and `_classify_numpy`.  Both paths read the same factor
 table, `prepared(p)`, of built-in floats, so the scalar core computes on
 floats and returns them.  Per-pixel results are independent of how the
-input is batched, which is what makes row-parallel callers deterministic
-across thread counts.
+input is batched, which is what makes row-parallel and chunked callers
+deterministic across thread counts and chunk sizes.
+
+`_h_field_numpy` splits ``arg z`` once per call for every factor's
+compensated product, and evaluates each factor's magnitude regimes
+(small, mid, big) on their own points; a regime that holds every point is
+evaluated on whole-array views, without gathers or scatters.
 
 The compensated angle multiplication is exact only for degrees
 ``n_k < 2**53``; `ParamSeq` enforces that bound.
@@ -55,21 +60,34 @@ def prepared(p: ParamSeq) -> tuple[tuple[float, float, float], ...]:
                  for n, lr in zip(p.n, logr))
 
 
+def _split(a):
+    # Veltkamp split: a == hi + lo exactly, each half of at most 26 bits
+    hi = _SPLITTER * a
+    hi = hi - (hi - a)
+    return hi, a - hi
+
+
+def _split_prod(a, b, bh, bl):
+    # two_prod(a, b) for a b already split into (bh, bl), so a caller that
+    # multiplies one b by many a splits it once
+    hi = a * b
+    ah, al = _split(a)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
 def two_prod(a, b):
     """Veltkamp/Dekker product: ``(hi, lo)`` with ``hi + lo == a * b`` exactly.
 
     Works elementwise on arrays too.  Kernel output bytes depend on the
     order of these operations.
     """
-    hi = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-    return hi, lo
+    bh, bl = _split(b)
+    return _split_prod(a, b, bh, bl)
+
+
+# the Veltkamp halves of the double TWO_PI (its double-double tail is
+# _TWO_PI_LO), for every q * TWO_PI of the angle reductions
+_TWO_PI_SPLIT = _split(TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +98,7 @@ def two_prod(a, b):
 def _reduce_dd(hi: float, lo: float) -> float:
     # reduce hi+lo mod 2*pi into (-pi, pi]; valid while |hi| < 2**53 * 2*pi
     q = round(hi / TWO_PI)
-    ph, pl = two_prod(q, TWO_PI)
+    ph, pl = _split_prod(q, TWO_PI, *_TWO_PI_SPLIT)
     return wrap_angle(((hi - ph) + lo) - pl - q * _TWO_PI_LO)
 
 
@@ -90,12 +108,13 @@ def _h_point(zx, zy, factors):
         return False, 0.0, 0.0
     lmz = math.log(math.hypot(zx, zy))
     agz = math.atan2(zy, zx)
+    agh, agl = _split(agz)
     acc_lm = 0.0
     acc_ag = 0.0
     for n, logr, eps in factors:
         wlm = n * (lmz - logr)
         # compensated n*arg, then mod 2*pi
-        hi, lo = two_prod(n, agz)
+        hi, lo = _split_prod(n, agz, agh, agl)
         wag = _reduce_dd(hi, lo)
         if abs(wlm) <= eps and (math.pi - abs(wag)) <= eps:
             return True, -math.inf, 0.0
@@ -134,10 +153,19 @@ def _wrap_np(a):
 
 def _reduce_np(x, lo=0.0):
     q = np.rint(x / TWO_PI)
-    ph, pl = two_prod(q, TWO_PI)
+    ph, pl = _split_prod(q, TWO_PI, *_TWO_PI_SPLIT)
     r = ((x - ph) + lo) - pl - q * _TWO_PI_LO
     _wrap_np(r)
     return r
+
+
+def _select(mask):
+    # the points of a regime: None if there are none, a slice if it holds
+    # all of them (views, no gathers or scatters), else their indices
+    count = np.count_nonzero(mask)
+    if count == 0:
+        return None
+    return slice(None) if count == mask.size else np.flatnonzero(mask)
 
 
 def _h_field_numpy(zx, zy, factors):
@@ -147,44 +175,45 @@ def _h_field_numpy(zx, zy, factors):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lmz = np.log(np.hypot(zx, zy))  # -inf at the origin, handled below
         agz = np.arctan2(zy, zx)
+        agh, agl = _split(agz)
         acc_lm = np.zeros_like(zx)
         acc_ag = np.zeros_like(zx)
         zero = np.zeros(zx.shape, dtype=bool)
         for n, logr, eps in factors:
             wlm = n * (lmz - logr)
-            hi, lo = two_prod(n, agz)
+            hi, lo = _split_prod(n, agz, agh, agl)
             wag = _reduce_np(hi, lo)
             cw = np.cos(wag)
             sw = np.sin(wag)
             small = wlm <= -50.0
             big = wlm >= 50.0
-            mid = np.flatnonzero(~(small | big))
-            small = np.flatnonzero(small)
-            big = np.flatnonzero(big)
-            if small.size:
-                t = np.exp(wlm[small])
-                c, sn = cw[small], sw[small]
-                flm[small] = 0.5 * np.log1p(t * (2.0 * c + t))
-                fag[small] = np.arctan2(t * sn, 1.0 + t * c)
-            if big.size:
-                w = wlm[big]
+            sel = _select(small)
+            if sel is not None:
+                t = np.exp(wlm[sel])
+                c, sn = cw[sel], sw[sel]
+                flm[sel] = 0.5 * np.log1p(t * (2.0 * c + t))
+                fag[sel] = np.arctan2(t * sn, 1.0 + t * c)
+            sel = _select(big)
+            if sel is not None:
+                w = wlm[sel]
                 u = np.exp(-w)
-                c, sn = cw[big], sw[big]
-                flm[big] = w + 0.5 * np.log1p(u * (2.0 * c + u))
-                a = wag[big] + np.arctan2(-u * sn, 1.0 + u * c)
+                c, sn = cw[sel], sw[sel]
+                flm[sel] = w + 0.5 * np.log1p(u * (2.0 * c + u))
+                a = wag[sel] + np.arctan2(-u * sn, 1.0 + u * c)
                 _wrap_np(a)
-                fag[big] = a
-            if mid.size:
-                w = wlm[mid]
+                fag[sel] = a
+            sel = _select(~(small | big))
+            if sel is not None:
+                w = wlm[sel]
                 m = np.exp(w)
-                x = 1.0 + m * cw[mid]
-                y = m * sw[mid]
+                x = 1.0 + m * cw[sel]
+                y = m * sw[sel]
                 # snapped to the factor's zero, or exactly zero in floating point
-                zero[mid] |= (((np.abs(w) <= eps)
-                               & ((math.pi - np.abs(wag[mid])) <= eps))
+                zero[sel] |= (((np.abs(w) <= eps)
+                               & ((math.pi - np.abs(wag[sel])) <= eps))
                               | ((x == 0.0) & (y == 0.0)))
-                flm[mid] = np.log(np.hypot(x, y))
-                fag[mid] = np.arctan2(y, x)
+                flm[sel] = np.log(np.hypot(x, y))
+                fag[sel] = np.arctan2(y, x)
             acc_lm += flm
             acc_ag += fag
             _wrap_np(acc_ag)

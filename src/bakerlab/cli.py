@@ -15,6 +15,7 @@ from dataclasses import asdict, is_dataclass
 from typing import Any, Optional
 
 from . import __version__
+from .dynamics import check_axis_bounds
 from .hfun import NonConvergence
 from .hyperbolic import CHECKS, run_check
 from .logc import LogComplex, Zero
@@ -45,6 +46,11 @@ def _rect_arg(text: str) -> tuple[complex, complex]:
     (x0, y0, x1, y1) = vals
     if not (x0 < x1 and y0 < y1):
         raise argparse.ArgumentTypeError("rectangle corners must increase")
+    try:
+        check_axis_bounds(x0, x1)
+        check_axis_bounds(y0, y1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return complex(x0, y0), complex(x1, y1)
 
 

@@ -115,6 +115,14 @@ class Grid:
         return {int(v): int(c) for v, c in zip(vals, cnts)}
 
 
+def check_axis_bounds(lo: float, hi: float) -> None:
+    """Reject an axis whose ends, span or midpoint are not finite floats."""
+    # a non-finite end makes the span inf or NaN
+    if not (math.isfinite(hi - lo) and math.isfinite(lo + hi)):
+        raise ValueError(f"axis [{lo!r}, {hi!r}] must be finite, with a "
+                         "finite span and midpoint")
+
+
 def axis_coords(lo: float, hi: float, n: int) -> np.ndarray:
     """n sample coordinates spanning [lo, hi] via a centered affine map.
 
@@ -124,6 +132,7 @@ def axis_coords(lo: float, hi: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("axis size must be >= 1")
+    check_axis_bounds(lo, hi)
     center = 0.5 * (lo + hi)
     if n == 1:
         return np.array([center])

@@ -4,7 +4,10 @@ and phase portraits of the product function.
 Output is P6 (binary) PPM only; bytes are a pure function of the inputs.
 Phase portraits fold the argument to |arg|/pi for the hue so that images of
 rectangles symmetric about the real axis are mirror-symmetric byte for byte
-(the function commutes with conjugation).
+(the function commutes with conjugation).  Each row band of a phase portrait
+is evaluated and shaded in chunks of `PHASE_CHUNK` points into one RGB
+array, so memory stays bounded by the chunk, not the image; per-pixel
+results do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -80,14 +83,24 @@ def phase_shade(logmod: np.ndarray, arg: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
 
 
+# points per h_field call in a phase portrait: 64 KiB per float64
+# temporary, below glibc's 128 KiB mmap threshold, so temporaries are
+# reused from the heap instead of being mapped and faulted in afresh
+PHASE_CHUNK = 8192
+
+
 def render_phase(rect: tuple[complex, complex], nx: int, ny: int,
                  p: ParamSeq, threads: Optional[int] = None) -> bytes:
     """Phase portrait of the product function over a rectangle (see
     `dynamics.run_row_bands` for the sampling)."""
 
     def band(zx, zy):
-        code, lm, ag = _kernels.h_field(zx, zy, p)
-        return phase_shade(lm, ag)
+        rgb = np.empty((zx.size, 3), dtype=np.uint8)
+        for i in range(0, zx.size, PHASE_CHUNK):
+            j = i + PHASE_CHUNK
+            code, lm, ag = _kernels.h_field(zx[i:j], zy[i:j], p)
+            rgb[i:j] = phase_shade(lm, ag)
+        return rgb
 
     parts = run_row_bands(rect, nx, ny, threads, band)
     return ppm_bytes(np.concatenate(parts).reshape(ny, nx, 3))

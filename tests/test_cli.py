@@ -270,6 +270,21 @@ def test_render_phase_writes_ppm(capsys, tmp_path):
     assert out.read_bytes().startswith(b"P6\n16 16\n255\n")
 
 
+@pytest.mark.parametrize("rect", ["-8,-8,8,inf", "-8,-8,8,nan",
+                                  "-inf,-8,8,8", "-1e308,-8,1e308,8",
+                                  "-8,1e308,8,1.5e308"])
+@pytest.mark.parametrize("command", ["grid", "phase"])
+def test_rect_must_be_finite(capsys, tmp_path, command, rect):
+    out = tmp_path / "out"
+    argv = ["grid"] if command == "grid" else ["render", "phase"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--profile", "doubling", f"--rect={rect}",
+                  "--nx", "4", "--ny", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--rect" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selftest_single_criterion(capsys):
     code, lines, _ = run_cli(capsys, "selftest", "--only", "1")
     assert code == 0

@@ -173,6 +173,15 @@ class TestAxisCoords:
     def test_single_sample_is_midpoint(self):
         assert axis_coords(2.0, 4.0, 1)[0] == 3.0
 
+    @pytest.mark.parametrize("lo, hi", [
+        (-8.0, float("inf")), (float("-inf"), 8.0), (-8.0, float("nan")),
+        (-1e308, 1e308),  # the span overflows
+        (1e308, 1.5e308),  # the midpoint overflows
+    ])
+    def test_rejects_non_finite_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            axis_coords(lo, hi, 4)
+
 
 class TestThreads:
     def test_explicit_wins(self):

@@ -194,6 +194,54 @@ def _regime_points(p):
     return z.real.copy(), z.imag.copy()
 
 
+# SHA-256 of the numpy path on inputs where every factor sees one magnitude
+# regime on every point, so each factor evaluates that regime on the whole
+# array (the mixed `_regime_points` always split it).  Recorded before the
+# regimes were applied through a shared selector.
+SINGLE_REGIME_DIGESTS = {
+    "doubling-small":
+        "1d09d4ff15c75fd4ab094a970e007d676ffa62b17ba47d4acf55b23ade62207c",
+    "doubling-mid":
+        "d7bbcf0bfc8d3f25465d30e7fd20a0c8bb4c13aa66a6f09dfeaefbbf8b62c544",
+    "doubling-big":
+        "bf5ec1b280e23e6b0dcd1143d9a2c31c84a7b5dbf42bc16133051b5294016974",
+    "steep-small":
+        "3658e7f293cb1eabc9ddccfd401175be9f56011b0f79c0a2f3f345aedc189e8e",
+    "steep-mid":
+        "339fba1432bf8f0e9f926c7639138f0e28d74af17ae4815f6d5f37748d3def14",
+    "steep-big":
+        "932f9805ec938d89e6882f58e67cea350fcc528b2182afef4dbecb85c13d74c4",
+    "paper2-small":
+        "dd5035ad04a29cd8a1b155fceb9e1d2c0fa5c58dc224c2ddf85893232cf1cde6",
+    "paper2-mid":
+        "f98cba27407d2324b07a1755990aa64762f87f392c96e2b915433429c188c4c5",
+    "paper2-big":
+        "f181ea3335946cce17ff6838bbf2185b989089911f4cd1bbb4fb73defa088ddf",
+}
+
+
+def _single_regime_points(p, regime):
+    # "small" lies below every factor's e^-50 edge (plus the origin), "big"
+    # above every e^50 edge; "mid" is a thin annulus about the last ring,
+    # inside every factor's mid band, plus two zeros of the last factor
+    rng = np.random.default_rng(p.n[-1])
+    span = rng.uniform(0.1, 5.0, 500)
+    if regime == "small":
+        lm = min(math.log(r) - 50.0 / n for r, n in zip(p.r, p.n)) - span
+    elif regime == "big":
+        lm = max(math.log(r) + 50.0 / n for r, n in zip(p.r, p.n)) + span
+    else:
+        lm = math.log(p.r[-1]) + (25.0 / p.n[-1]) * rng.uniform(-1, 1, 500)
+    ag = rng.uniform(-math.pi, math.pi, lm.size)
+    z = np.exp(lm) * np.exp(1j * ag)
+    if regime == "small":
+        z = np.concatenate([z, [0.0]])
+    elif regime == "mid":
+        turns = np.array([1.0, -3.0]) / p.n[-1]
+        z = np.concatenate([z, p.r[-1] * np.exp(1j * math.pi * turns)])
+    return z.real.copy(), z.imag.copy()
+
+
 @pytest.mark.parametrize("case", sorted(GRID_CASES))
 def test_grid_bytes_are_pinned(case):
     g = _pinned_grid(case)
@@ -250,3 +298,21 @@ def test_frozen_orbit_keeps_its_near_zero_flag(monkeypatch):
                                             40, 64.0)
     assert (status[0], step[0]) == (2, nzt_step)
     assert len(seen) == frozen_at + 1  # one evaluation per step up to the freeze
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_REGIME_DIGESTS))
+def test_single_regime_field_bytes_are_pinned(case):
+    name, regime = case.split("-")
+    p = make_toy(name)
+    factors = _kernels.prepared(p)
+    zx, zy = _single_regime_points(p, regime)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lmz = np.log(np.hypot(zx, zy))  # -inf at the origin: small
+        for n, logr, _ in factors:
+            wlm = n * (lmz - logr)
+            small, big = wlm <= -50.0, wlm >= 50.0
+            expected = {"small": small, "big": big, "mid": ~(small | big)}
+            assert expected[regime].all()
+    code, lm, ag = _kernels._h_field_numpy(zx, zy, factors)
+    assert code.sum() == (2 if regime == "mid" else 0)
+    assert _sha(code, lm, ag) == SINGLE_REGIME_DIGESTS[case]

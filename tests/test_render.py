@@ -1,10 +1,13 @@
 """PPM rendering: format, palette rules, and byte-level determinism."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bakerlab import render
+from bakerlab._kernels import h_field
 from bakerlab.dynamics import Grid, axis_coords, classify_grid
 from bakerlab.params import make_toy, params_digest
 from bakerlab.render import (
@@ -104,6 +107,32 @@ def test_phase_render_hits_stored_zero_pixel():
     assert np.array_equal(px[row, col], [0, 0, 0])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_phase_render_is_batching_invariant(threads):
+    # chunked evaluation gives the bytes of one whole-grid h_field call;
+    # one band holds three full chunks and a ragged fourth
+    p = make_toy("steep")
+    nx, ny = 181, 137
+    assert nx * ny > 3 * render.PHASE_CHUNK
+    gy, gx = np.meshgrid(axis_coords(-20.0, 20.0, ny),
+                         axis_coords(-20.0, 20.0, nx), indexing="ij")
+    code, lm, ag = h_field(gx.ravel(), gy.ravel(), p)
+    whole = ppm_bytes(phase_shade(lm, ag).reshape(ny, nx, 3))
+    assert render_phase((-20 - 20j, 20 + 20j), nx, ny, p,
+                        threads=threads) == whole
+
+
+def test_phase_render_memory_is_bounded():
+    # one 512x512 band; unchunked, its full-size temporaries peak near 50 MiB
+    tracemalloc.start()
+    try:
+        render_phase((-6 - 6j, 6 + 6j), 512, 512, DOUBLING, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_escape_render_matches_grid_dimensions():
     g = classify_grid((-4 - 4j, 4 + 4j), 12, 7, DOUBLING, max_steps=10)
     ppm = render_escape(g)
@@ -121,11 +150,15 @@ PHASE_DIGESTS = {
         "c5a05988ebf5262638b250180d4b314096e974d77ca59722b02451896ffff09a",
     "paper2":
         "e47b09f64b19782fc3d4f1b5f009719149fc11f3205a46d458a8d132b0c61842",
+    "steep-chunks":
+        "ca4cd26ecf283ec7d2b2e9498d4e2463e2f5e52ff20ec5d4f83ad7f4449423a3",
 }
 PHASE_CASES = {
     "doubling-zero": ((-8 - 8j, 8 + 8j), 65, 65, "doubling"),
     "steep-rings": ((-11 - 9j, 13 + 15j), 61, 47, "steep"),
     "paper2": ((-30 - 30j, 30 + 30j), 41, 41, "paper2"),
+    # more than two evaluation chunks in one band, the last one ragged
+    "steep-chunks": ((-11 - 9j, 13 + 15j), 160, 120, "steep"),
 }
 
 
