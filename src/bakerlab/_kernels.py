@@ -173,7 +173,9 @@ def _h_field_numpy(zx, zy, factors):
     flm = np.empty_like(zx)
     fag = np.empty_like(zx)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lmz = np.log(np.hypot(zx, zy))  # -inf at the origin, handled below
+        # -inf at the origin, where every factor is in the small regime
+        # and adds +-0.0 to the +0.0 accumulators, so h(0) is +0.0
+        lmz = np.log(np.hypot(zx, zy))
         agz = np.arctan2(zy, zx)
         agh, agl = _split(agz)
         acc_lm = np.zeros_like(zx)
@@ -218,9 +220,6 @@ def _h_field_numpy(zx, zy, factors):
             acc_ag += fag
             _wrap_np(acc_ag)
 
-    origin = (zx == 0.0) & (zy == 0.0)
-    acc_lm[origin] = 0.0
-    acc_ag[origin] = 0.0
     acc_lm[zero] = -np.inf
     acc_ag[zero] = 0.0
     return zero.astype(np.uint8), acc_lm, acc_ag

@@ -11,15 +11,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from typing import Any, Optional
 
+import numpy as np
+
 from . import __version__
-from .dynamics import check_axis_bounds
-from .hfun import NonConvergence
+from .dynamics import (check_axis_bounds, classify_grid, iterate, read_grid,
+                       write_grid)
+from .hfun import NonConvergence, eval_f, eval_g, eval_h
 from .hyperbolic import CHECKS, run_check
 from .logc import LogComplex, Zero
 from .params import ParamSeq, load_params, make_toy, params_to_json, validate_1b
+from .render import render_escape, render_phase
+from .verify import (asymptotic_deviation, obstruction_chain, ring_field,
+                     verify_2a, verify_2b, verify_2c)
 
 
 def _complex_arg(text: str) -> complex:
@@ -68,16 +74,10 @@ def _encode(obj: Any) -> Any:
         return {"logmod": _num(obj.logmod), "arg": _num(obj.arg)}
     if isinstance(obj, complex):
         return {"re": _num(obj.real), "im": _num(obj.imag)}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _encode(asdict(obj))
-    if hasattr(obj, "_asdict"):
-        return _encode(obj._asdict())
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_encode(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return _encode(obj.tolist())
     return _num(obj)
 
 
@@ -192,16 +192,12 @@ def _cmd_params(args) -> int:
         return 0
     rep = validate_1b(p)
     for c in rep.clauses:
-        _emit({"kind": "clause", "k": c.k, "name": c.name, "ok": c.ok,
-               "lhs": c.lhs, "rhs": c.rhs,
-               "unrepresentable": c.unrepresentable})
+        _emit({"kind": "clause", **asdict(c)})
     _emit({"kind": "verdict", "ok": rep.overall})
     return 0 if rep.overall else 1
 
 
 def _cmd_eval(args) -> int:
-    from .hfun import eval_f, eval_g, eval_h
-
     p = _resolve_params(args)
     z = args.z
     if args.what == "g":
@@ -216,8 +212,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_hyp(args) -> int:
-    import numpy as np
-
     rng = np.random.default_rng(args.seed)
     failures, worst = run_check(args.check, rng, args.samples)
     _emit({"kind": "hyp", "check": args.check, "samples": args.samples,
@@ -235,14 +229,6 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import (
-        asymptotic_deviation,
-        ring_field,
-        verify_2a,
-        verify_2b,
-        verify_2c,
-    )
-
     p = _resolve_params(args)
     if args.check == "2a":
         rep = verify_2a(p, args.k, args.samples)
@@ -269,8 +255,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    from .verify import obstruction_chain
-
     p = _resolve_params(args)
     rep = obstruction_chain(p, args.k, args.t, args.c, args.K_bound)
     _emit({"kind": "obstruct", **asdict(rep)})
@@ -278,8 +262,6 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    from .dynamics import iterate
-
     p = _resolve_params(args)
     rec = iterate(args.z, p, args.steps, args.escape_radius)
     for i, z in enumerate(rec.points):
@@ -291,8 +273,6 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    from .dynamics import classify_grid, write_grid
-
     p = _resolve_params(args)
     g = classify_grid(args.rect, args.nx, args.ny, p, args.steps,
                       args.escape_radius, threads=args.threads)
@@ -303,11 +283,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .render import render_escape, render_phase
-
     if args.mode == "escape":
-        from .dynamics import read_grid
-
         g = read_grid(args.grid)
         ppm = render_escape(g, args.palette)
     else:
@@ -329,9 +305,8 @@ def _cmd_selftest(args) -> int:
     else:
         results = acceptance.run_all()
     for r in results:
-        _emit({"kind": "criterion", "index": r.index, "name": r.name,
-               "passed": r.passed, "detail": r.detail,
-               "seconds": round(r.seconds, 3), "limit": r.limit})
+        _emit({"kind": "criterion", **r._asdict(),
+               "seconds": round(r.seconds, 3)})
     ok = all(r.passed for r in results)
     _emit({"kind": "selftest", "passed": sum(r.passed for r in results),
            "total": len(results), "ok": ok})

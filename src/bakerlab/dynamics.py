@@ -165,8 +165,6 @@ def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
     order, so concatenating them gives the grid row-major.  With more than
     one band each runs on its own pool thread.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError("grid dimensions must be >= 1")
     z0, z1 = complex(rect[0]), complex(rect[1])
     xs = axis_coords(min(z0.real, z1.real), max(z0.real, z1.real), nx)
     ys = axis_coords(min(z0.imag, z1.imag), max(z0.imag, z1.imag), ny)
@@ -189,8 +187,6 @@ def classify_grid(rect: tuple[complex, complex], nx: int, ny: int,
                   threads: Optional[int] = None) -> Grid:
     """Per-pixel orbit classification over a rectangle (see `run_row_bands`
     for the sampling)."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     if escape_radius is None:
         escape_radius = default_escape_radius(p)
 

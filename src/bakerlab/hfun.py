@@ -21,7 +21,7 @@ from . import _kernels
 from ._kernels import CARTESIAN_BAND
 from .logc import (CARTESIAN_LOGMOD_MAX, TWO_PI, ZERO, LogComplex, Zero,
                    reduce_angle)
-from .params import ParamSeq, derive
+from .params import ParamSeq, derive, require_ring_index
 
 E = math.e
 
@@ -65,13 +65,10 @@ class EvalResult:
 class ProbePoint:
     """The zero a and probe point b on ring k at sector nu, with theta and p."""
 
-    k: int
-    nu: int
     theta: float
     a: complex
     b: complex
     p: float
-    logT: float
 
 
 def ring_log_max(p: ParamSeq, R: float) -> tuple[float, float]:
@@ -190,8 +187,7 @@ def theta(phi: float) -> float:
 
 def probe_point(k: int, nu: int, p: ParamSeq) -> ProbePoint:
     """Zero a and probe b on ring k (1-indexed, k >= 2) at sector nu."""
-    if not 2 <= k <= p.K:
-        raise ValueError(f"k must be in [2, {p.K}]")
+    require_ring_index(p, k)
     n_k = p.n[k - 1]
     if not 0 <= nu < n_k:
         raise ValueError(f"nu must be in [0, {n_k})")
@@ -211,8 +207,7 @@ def probe_point(k: int, nu: int, p: ParamSeq) -> ProbePoint:
     if abs(p_c.imag) > 1e-10 * abs(p_c):
         raise AssertionError(
             f"probe value not real: k={k} nu={nu} p={p_c!r}")
-    return ProbePoint(k=k, nu=nu, theta=th, a=a, b=b, p=abs(p_c),
-                      logT=d.logT[k - 1])
+    return ProbePoint(theta=th, a=a, b=b, p=abs(p_c))
 
 
 # ---------------------------------------------------------------------------

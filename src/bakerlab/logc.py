@@ -57,10 +57,13 @@ def reduce_angle(x: float) -> float:
     """
     if -math.pi < x <= math.pi:
         return x
-    v = Fraction(x)
+    return _reduce_exact(Fraction(x))
+
+
+def _reduce_exact(v: Fraction) -> float:
+    # v mod 2*pi into (-pi, pi], exact up to the final rounding to a double
     q = math.ceil(v / _TWO_PI_FRAC - _HALF)
-    r = float(v - q * _TWO_PI_FRAC)
-    return wrap_angle(r)
+    return wrap_angle(float(v - q * _TWO_PI_FRAC))
 
 
 class Zero:
@@ -108,7 +111,4 @@ def lc_pow_int(v: Zero | LogComplex, n: int) -> Zero | LogComplex:
         return ZERO
     if n == 1:
         return v
-    va = Fraction(v.arg) * n
-    q = math.ceil(va / _TWO_PI_FRAC - _HALF)
-    arg = wrap_angle(float(va - q * _TWO_PI_FRAC))
-    return LogComplex(v.logmod * n, arg)
+    return LogComplex(v.logmod * n, _reduce_exact(Fraction(v.arg) * n))

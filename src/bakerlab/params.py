@@ -29,6 +29,7 @@ __all__ = [
     "ValidityReport",
     "validate_1b",
     "derive",
+    "require_ring_index",
     "make_toy",
     "load_params",
     "params_to_json",
@@ -111,6 +112,13 @@ def derive(p: ParamSeq) -> DerivedParams:
         for k in range(p.K)
     )
     return DerivedParams(m=tuple(m), s=s, logT=logT)
+
+
+def require_ring_index(p: ParamSeq, k: int) -> None:
+    """Reject a ring index outside 2 <= k <= K, where `derive`'s m_k is a
+    sum over the rings below k."""
+    if not 2 <= k <= p.K:
+        raise ValueError(f"k must be in [2, {p.K}] (ring index with m_k defined)")
 
 
 # Inner exponents m_k*ln(r_k) above this make 4*r_k^{m_k} overflow a double;

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import _kernels
 from .hfun import E, eval_f, probe_point, ring_log_max
 from .hyperbolic import TWO_LOG3, DiskSpec, disk_distance
 from .logc import TWO_PI, LogComplex
-from .params import ParamSeq, derive
+from .params import ParamSeq, derive, require_ring_index
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,9 @@ class ProbeRatio(NamedTuple):
 
 @dataclass(frozen=True)
 class ObstructionReport:
+    """The chain's numbers; its eight link verdicts live only in link_flags
+    (rho_3b compares rho_ab with the cap 2 log 3, `hyperbolic.TWO_LOG3`)."""
+
     k: int
     t_k: float
     nu: int
@@ -59,22 +62,13 @@ class ObstructionReport:
     dist_a: float
     dist_b: float
     radius_10: float
-    in_disk_a: bool
-    in_disk_b: bool
     rho_ab: float
-    rho_upper: float  # the Lemma-2 style cap 2 log 3
     log_f_a: float
     log_f_b: float
-    bound_3c_ok: bool
     rho_lower_3d: Optional[float]
     pinch_lower: float  # 1/2 log(r_k - 1)
     K_bound: float
-    link_flags: dict = field(default_factory=dict)
-
-
-def _require_ring_index(p: ParamSeq, k: int) -> None:
-    if not 2 <= k <= p.K:
-        raise ValueError(f"k must be in [2, {p.K}] (ring index with m_k defined)")
+    link_flags: dict
 
 
 def _require_doubling_radii(p: ParamSeq) -> None:
@@ -101,7 +95,7 @@ def verify_2a(p: ParamSeq, k: int, samples: int = 4096) -> GrowthReport:
     infinite product.  samples is unused but still validated >= 1; the
     benchmark passes it positionally until ROADMAP.md open item 3 ends that.
     """
-    _require_ring_index(p, k)
+    require_ring_index(p, k)
     _require_doubling_radii(p)
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -117,7 +111,7 @@ def asymptotic_deviation(p: ParamSeq, k: int, samples: int):
     """Per-angle relative deviation of h on |z| = s_k from the dominant-ring
     model T_k e^{i m_k t}(1 + e * e^{i n_k t}), scaled by the model's minimum
     modulus T_k (e-1).  Returns (angles, deviations)."""
-    _require_ring_index(p, k)
+    require_ring_index(p, k)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = derive(p)
@@ -148,7 +142,7 @@ def verify_2c(p: ParamSeq, k: int, max_probes: int = 4096) -> list[ProbeRatio]:
     Ratios >= 1 realize the probe estimate; advisory for small k.  When n_k
     exceeds max_probes the nu range is subsampled evenly (always including 0).
     """
-    _require_ring_index(p, k)
+    require_ring_index(p, k)
     if max_probes < 1:
         raise ValueError("samples must be >= 1")
     d = derive(p)
@@ -196,7 +190,7 @@ def obstruction_chain(p: ParamSeq, k: int, t_k: float, c: complex,
     every inequality is evaluated numerically and reported as an independent
     flag, so the report quantifies the squeeze rather than asserting it.
     """
-    _require_ring_index(p, k)
+    require_ring_index(p, k)
     if not 0.0 <= t_k < 1.0:
         raise ValueError("t_k must lie in [0, 1)")
     if not K_bound > 0.0:
@@ -219,8 +213,6 @@ def obstruction_chain(p: ParamSeq, k: int, t_k: float, c: complex,
     dist_b = math.sqrt((s_k - r_k) ** 2
                        + 4.0 * s_k * r_k * math.sin(0.5 * phi_d) ** 2)
     radius_10 = 10.0 * r_k / n_k
-    in_a = dist_a <= radius_10
-    in_b = dist_b <= radius_10
 
     rho_ab = disk_distance(a_k, b_k, DiskSpec(z_k, 2.0 * radius_10))
 
@@ -231,7 +223,6 @@ def obstruction_chain(p: ParamSeq, k: int, t_k: float, c: complex,
     else:
         log_f_b = math.log(abs(fres.value))
 
-    bound_3c_ok = logT >= 2.0 * math.log(s_k) + math.log(2.0)
     mc = abs(c)
     if r_k * r_k > mc:
         rho_3d: Optional[float] = 0.5 * math.log((r_k * r_k - mc)
@@ -241,20 +232,18 @@ def obstruction_chain(p: ParamSeq, k: int, t_k: float, c: complex,
     pinch = 0.5 * math.log(r_k - 1.0)
 
     links = {
-        "in_disk_a": in_a,
-        "in_disk_b": in_b,
+        "in_disk_a": dist_a <= radius_10,
+        "in_disk_b": dist_b <= radius_10,
         "rho_3b": rho_ab <= TWO_LOG3 + 1e-12,
         "f_a_bounded": abs(a_k + 1.0) <= r_k + 1.0 + 1e-9,
-        "bound_3c": bound_3c_ok,
+        "bound_3c": logT >= 2.0 * math.log(s_k) + math.log(2.0),
         "f_b_large": log_f_b >= 2.0 * math.log(s_k),
         "bound_3d_defined": rho_3d is not None,
         "pinch_exceeds_K": pinch > K_bound,
     }
     return ObstructionReport(
         k=k, t_k=t_k, nu=nu, delta=delta, z_k=z_k, a_k=a_k, b_k=b_k,
-        dist_a=dist_a, dist_b=dist_b, radius_10=radius_10,
-        in_disk_a=in_a, in_disk_b=in_b, rho_ab=rho_ab, rho_upper=TWO_LOG3,
-        log_f_a=log_f_a, log_f_b=log_f_b, bound_3c_ok=bound_3c_ok,
-        rho_lower_3d=rho_3d, pinch_lower=pinch, K_bound=K_bound,
-        link_flags=links,
+        dist_a=dist_a, dist_b=dist_b, radius_10=radius_10, rho_ab=rho_ab,
+        log_f_a=log_f_a, log_f_b=log_f_b, rho_lower_3d=rho_3d,
+        pinch_lower=pinch, K_bound=K_bound, link_flags=links,
     )

@@ -1,5 +1,6 @@
-"""Acceptance gate: the eleven end-to-end criteria, one test each, plus a
-check that criterion 7 fails on a wrong distance formula.
+"""Acceptance gate: the eleven end-to-end criteria, one test each, checks
+that criteria 7 and 9 fail on a broken formula, and a check that `run_all`
+runs each criterion once, in order.
 
 Each test runs its criterion under the runtime budget baked into
 bakerlab.acceptance and prints a single PASS/FAIL line with the measured
@@ -82,10 +83,10 @@ def test_criterion_11_validation_gate():
     _run(11)
 
 
-def test_suite_summary_all_green():
-    results = acceptance.run_all()
-    for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        print(f"{tag} {r.index:2d} {r.name}: {r.detail}")
-    failed = [r.index for r in results if not r.passed]
-    assert not failed, f"criteria failed: {failed}"
+def test_run_all_runs_each_criterion_once_in_order(monkeypatch):
+    # each criterion already has its own test above; this checks the wiring
+    calls = []
+    monkeypatch.setattr(acceptance, "run_criterion",
+                        lambda index: calls.append(index) or index)
+    assert acceptance.run_all() == list(range(1, 12))
+    assert calls == list(range(1, 12))

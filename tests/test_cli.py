@@ -4,6 +4,7 @@ Most checks drive cli.main() in process; one subprocess test covers the
 installed console script end to end.
 """
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ import subprocess
 import pytest
 
 from bakerlab import cli, hyperbolic
-from bakerlab.hfun import eval_h
+from bakerlab.hfun import eval_h, probe_point
 from bakerlab.params import make_toy, params_to_json
 
 from _oracles import reduce_angle_ref
@@ -235,6 +236,47 @@ def test_obstruct_report(capsys):
     rep = lines[0]
     assert rep["nu"] == 284400000
     assert rep["link_flags"]["in_disk_a"] is True
+
+
+# sha256 of the paper2 k=2 obstruct line at each --t; the link verdicts are
+# only under link_flags, so the line holds no in_disk_a, in_disk_b,
+# bound_3c_ok or rho_upper of its own
+OBSTRUCT_DIGESTS = {
+    "0.0": "2e93a49be09e654e16963c45ed0ced2f64f594786af25fd672088a4662b7e8cf",
+    "0.1": "5d0e930f94cf462ac6da0d09b8063cb77d198d24e7a783c4886f3d0928023607",
+    "0.37": "e6adece5d29352f1079bea7b1750c574b41914590a14f91b2e34eaa5d8c4dda5",
+    "0.5": "df71c2e31b3e3c0b139af8c168f5726c98035c8014f5e5a5414f29694bf6bd8a",
+    "0.999": "88a790654b9237f4880a7ee27b81df1c7f4918c3759bf92e2c038b9bdd1424d2",
+}
+
+
+@pytest.mark.parametrize("t", sorted(OBSTRUCT_DIGESTS))
+def test_obstruct_line_states_each_verdict_once(capsys, t):
+    code = cli.main(["obstruct", "--profile", "paper2", "--k", "2",
+                     "--t", t])
+    out = capsys.readouterr().out
+    assert code == 0
+    rep = json.loads(out)
+    for key in ("in_disk_a", "in_disk_b", "bound_3c_ok", "rho_upper"):
+        assert key not in rep
+    assert hashlib.sha256(out.rstrip("\n").encode()).hexdigest() \
+        == OBSTRUCT_DIGESTS[t]
+
+
+@pytest.mark.parametrize("profile", ["doubling", "paper2"])
+def test_ring_index_rule_has_one_message(capsys, profile):
+    # verify, obstruct and probe_point reject k outside [2, K] alike
+    p = make_toy(profile)
+    msg = f"k must be in [2, {p.K}] (ring index with m_k defined)"
+    for k in (1, p.K + 1):
+        with pytest.raises(ValueError) as exc:
+            probe_point(k, 0, p)
+        assert str(exc.value) == msg
+        for argv in (["verify", "--check", "2a"], ["verify", "--check", "2b"],
+                     ["verify", "--check", "2c"], ["obstruct", "--t", "0.1"]):
+            code, lines, err = run_cli(capsys, *argv, "--profile", profile,
+                                       "--k", str(k))
+            assert (code, lines, err) == (2, [], f"error: {msg}\n")
 
 
 def test_orbit_lines(capsys):
