@@ -41,8 +41,11 @@ CARTESIAN_BAND = 700.0
 def factor_snap_eps(n: int) -> float:
     """Tolerance for snapping a factor value to its exact zero.
 
-    Rounding in ``(z/r)^n`` scales with n; anything this close to -1 is
-    below the resolution of the cartesian input z.
+    Rounding in ``(z/r)^n`` scales with n; anything this close to -1 snaps.
+    The window is wider than the resolution of the cartesian input z: for
+    paper2's n_2 the tolerance is 4.0e-5, about 64 input ulps (along Re z
+    around three sampled zeros of ring 2, 129 to 259 consecutive doubles
+    give the exact zero), where the true |h| reaches about 1.2e-4.
     """
     return max(1e-13, 64.0 * _EPS * n)
 

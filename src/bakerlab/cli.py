@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--steps", type=int, default=64)
     q.add_argument("--escape-radius", type=float, default=None)
     q.add_argument("--out", required=True, metavar="FILE")
-    q.add_argument("--threads", type=int, default=None)
+    q.add_argument("--threads", type=int, default=1)
 
     q = sp.add_parser("render", help="write a PPM image")
     rsp = q.add_subparsers(dest="mode", required=True)
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--nx", type=int, required=True)
     rp.add_argument("--ny", type=int, required=True)
     rp.add_argument("--out", required=True, metavar="FILE")
-    rp.add_argument("--threads", type=int, default=None)
+    rp.add_argument("--threads", type=int, default=1)
 
     q = sp.add_parser("selftest", help="run the acceptance suite")
     q.add_argument("--only", type=int, default=None, metavar="N",

@@ -1,16 +1,18 @@
 """Orbit iteration of the map z -> z + e^h with escape classification, plus
 batch grid classification and the binary grid file format.
 
-Grid classification parallelizes over row bands; every pixel is an
-independent pure computation, so output bytes are identical for any thread
-count.  Scalar `iterate` and the batch kernels implement the same stepping
+`run_row_bands` samples a rectangle for both grid classification and phase
+portraits: whole-row chunks, built from the two axis vectors and written by
+the caller into arrays it owns, in one row band unless more threads are
+asked for (at most `MAX_BANDS`).  Every pixel is an independent pure
+computation, so output bytes are identical for any thread count and chunk
+size.  Scalar `iterate` and the batch kernels implement the same stepping
 rule and are cross-checked in the tests.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -141,63 +143,65 @@ def axis_coords(lo: float, hi: float, n: int) -> np.ndarray:
     return center + (hi - lo) * t
 
 
-def resolve_threads(threads: Optional[int] = None) -> int:
-    if threads is None:
-        threads = min(os.cpu_count() or 1, 8)
-    if threads < 1:
-        raise ValueError("thread count must be >= 1")
-    return threads
-
-
-def _row_bands(ny: int, parts: int) -> list[tuple[int, int]]:
-    parts = min(parts, ny)
-    edges = np.linspace(0, ny, parts + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+# a large thread request must not start one OS thread per row
+MAX_BANDS = 8
+# points per classify_field call: each step pays a fixed cost per call, so
+# smaller chunks lose; one call per band on a 256x256 grid
+CLASSIFY_CHUNK = 65536
 
 
 def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
-                  threads: Optional[int], band_fn) -> list:
-    """Sample rect on an nx-by-ny pixel grid and evaluate it in row bands.
+                  threads: int, chunk: int, chunk_fn) -> None:
+    """Sample rect on an nx-by-ny pixel grid and evaluate it in whole rows.
 
     rect is any two opposite corners; a degenerate rectangle collapses to a
-    single sample at that point.  ``band_fn(zx, zy)`` receives one band's
-    pixels as flat row-major coordinates; its results come back in band
-    order, so concatenating them gives the grid row-major.  With more than
-    one band each runs on its own pool thread.
+    single sample at that point.  ``chunk_fn(zx, zy, sl)`` receives at most
+    ``chunk`` points (one row if a row is longer) as flat row-major
+    coordinates, and ``sl``, their slice of the flat row-major grid, where
+    the caller writes its results; slices never overlap.  The rows split into
+    ``min(threads, ny, MAX_BANDS)`` bands; with more than one, each band
+    runs on its own pool thread.
     """
+    if threads < 1:
+        raise ValueError("thread count must be >= 1")
     z0, z1 = complex(rect[0]), complex(rect[1])
     xs = axis_coords(min(z0.real, z1.real), max(z0.real, z1.real), nx)
     ys = axis_coords(min(z0.imag, z1.imag), max(z0.imag, z1.imag), ny)
+    rows = max(1, chunk // nx)
 
     def run_band(band):
-        a, b = band
-        gy, gx = np.meshgrid(ys[a:b], xs, indexing="ij")
-        return band_fn(gx.ravel(), gy.ravel())
+        for a in range(band[0], band[1], rows):
+            b = min(a + rows, band[1])
+            chunk_fn(np.tile(xs, b - a), np.repeat(ys[a:b], nx),
+                     slice(a * nx, b * nx))
 
-    bands = _row_bands(ny, resolve_threads(threads))
+    edges = np.linspace(0, ny, min(threads, ny, MAX_BANDS) + 1).astype(int)
+    bands = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
     if len(bands) == 1:
-        return [run_band(bands[0])]
+        run_band(bands[0])
+        return
     with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-        return list(pool.map(run_band, bands))
+        list(pool.map(run_band, bands))
 
 
 def classify_grid(rect: tuple[complex, complex], nx: int, ny: int,
                   p: ParamSeq, max_steps: int = 64,
                   escape_radius: Optional[float] = None,
-                  threads: Optional[int] = None) -> Grid:
+                  threads: int = 1) -> Grid:
     """Per-pixel orbit classification over a rectangle (see `run_row_bands`
     for the sampling)."""
     if escape_radius is None:
         escape_radius = default_escape_radius(p)
+    status = np.empty(nx * ny, dtype=np.uint8)
+    step = np.empty(nx * ny, dtype=np.uint32)
 
-    def band(zx, zy):
-        return _kernels.classify_field(zx, zy, p, max_steps, escape_radius)
+    def chunk(zx, zy, sl):
+        status[sl], step[sl] = _kernels.classify_field(
+            zx, zy, p, max_steps, escape_radius)
 
-    parts = run_row_bands(rect, nx, ny, threads, band)
-    status = np.concatenate([st for st, _ in parts]).reshape(ny, nx)
-    step = np.concatenate([sp for _, sp in parts]).reshape(ny, nx)
-    return Grid(nx=nx, ny=ny, status=status, step=step,
-                digest=params_digest(p))
+    run_row_bands(rect, nx, ny, threads, CLASSIFY_CHUNK, chunk)
+    return Grid(nx=nx, ny=ny, status=status.reshape(ny, nx),
+                step=step.reshape(ny, nx), digest=params_digest(p))
 
 
 def write_grid(path, grid: Grid) -> None:

@@ -58,6 +58,9 @@ class ParamSeq:
             if nk >= 1 << 53:
                 # the compensated n*arg product is exact only below 2**53
                 raise ValueError(f"degree n_{k}={nk} is not below 2**53")
+        if any(not math.isfinite(rk * (1.0 + 1.0 / nk))
+               for rk, nk in zip(self.r, self.n)):
+            raise ValueError("probe radii r_k (1 + 1/n_k) must be finite")
 
     @property
     def K(self) -> int:

@@ -4,16 +4,16 @@ and phase portraits of the product function.
 Output is P6 (binary) PPM only; bytes are a pure function of the inputs.
 Phase portraits fold the argument to |arg|/pi for the hue so that images of
 rectangles symmetric about the real axis are mirror-symmetric byte for byte
-(the function commutes with conjugation).  Each row band of a phase portrait
-is evaluated and shaded in chunks of `PHASE_CHUNK` points into one RGB
-array, so memory stays bounded by the chunk, not the image; per-pixel
-results do not depend on the chunking.
+(the function commutes with conjugation).  A phase portrait is evaluated
+and shaded in whole-row chunks of at most `PHASE_CHUNK` points (one row if
+a row is longer), each written into one preallocated RGB array, so the
+temporaries are bounded by the chunk, not the image; per-pixel results do
+not depend on the chunking.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -90,17 +90,14 @@ PHASE_CHUNK = 8192
 
 
 def render_phase(rect: tuple[complex, complex], nx: int, ny: int,
-                 p: ParamSeq, threads: Optional[int] = None) -> bytes:
+                 p: ParamSeq, threads: int = 1) -> bytes:
     """Phase portrait of the product function over a rectangle (see
     `dynamics.run_row_bands` for the sampling)."""
+    rgb = np.empty((nx * ny, 3), dtype=np.uint8)
 
-    def band(zx, zy):
-        rgb = np.empty((zx.size, 3), dtype=np.uint8)
-        for i in range(0, zx.size, PHASE_CHUNK):
-            j = i + PHASE_CHUNK
-            code, lm, ag = _kernels.h_field(zx[i:j], zy[i:j], p)
-            rgb[i:j] = phase_shade(lm, ag)
-        return rgb
+    def chunk(zx, zy, sl):
+        _, lm, ag = _kernels.h_field(zx, zy, p)
+        rgb[sl] = phase_shade(lm, ag)
 
-    parts = run_row_bands(rect, nx, ny, threads, band)
-    return ppm_bytes(np.concatenate(parts).reshape(ny, nx, 3))
+    run_row_bands(rect, nx, ny, threads, PHASE_CHUNK, chunk)
+    return ppm_bytes(rgb.reshape(ny, nx, 3))

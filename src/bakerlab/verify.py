@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _kernels
-from .hfun import E, eval_f, probe_point, ring_log_max
+from .hfun import E, _probe_b, eval_f, probe_point, ring_log_max
 from .hyperbolic import TWO_LOG3, DiskSpec, disk_distance
 from .logc import TWO_PI, LogComplex
 from .params import ParamSeq, derive, require_ring_index
@@ -93,7 +93,7 @@ def verify_2a(p: ParamSeq, k: int, samples: int = 4096) -> GrowthReport:
     Exact (`hfun.ring_log_max`): max_log_abs_h is the stored product's
     maximum, and passed gates on max_log_abs_h + tail, a bound for the
     infinite product.  samples is unused but still validated >= 1; the
-    benchmark passes it positionally until ROADMAP.md open item 3 ends that.
+    benchmark passes it positionally until the benchmark change drops it.
     """
     require_ring_index(p, k)
     _require_doubling_radii(p)
@@ -152,9 +152,9 @@ def verify_2c(p: ParamSeq, k: int, max_probes: int = 4096) -> list[ProbeRatio]:
         nus = np.arange(n_k, dtype=np.int64)
     else:
         nus = np.unique(np.linspace(0, n_k - 1, max_probes).astype(np.int64))
-    probes = [probe_point(k, int(nu), p) for nu in nus]
-    bx = np.array([pp.b.real for pp in probes])
-    by = np.array([pp.b.imag for pp in probes])
+    m_k, s_k = d.m[k - 1], d.s[k - 1]
+    b = np.array([_probe_b(int(nu), n_k, m_k, s_k)[2] for nu in nus])
+    bx, by = b.real, b.imag
     _, lm, ag = _kernels.h_field(bx, by, p)
     with np.errstate(over="ignore"):
         re_h = np.exp(lm) * np.cos(ag)

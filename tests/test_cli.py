@@ -123,6 +123,17 @@ def test_inadmissible_degrees_are_config_errors(capsys, tmp_path, argv, n):
     assert lines == [] and "error" in err
 
 
+@pytest.mark.parametrize("check", ["2b", "2c"])
+def test_overflowing_probe_radius_is_config_error(capsys, tmp_path, check):
+    # s_2 = r_2 (1 + 1/n_2) is inf; the reports used to print NaN, exit 0
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"r": [1e308, 1.7e308], "n": [1, 2]}))
+    code, lines, err = run_cli(capsys, "verify", "--check", check, "--k", "2",
+                               "--params", str(path))
+    assert code == 2
+    assert lines == [] and "probe radii" in err
+
+
 def test_grid_rejects_zero_steps(capsys, tmp_path):
     gpath = tmp_path / "g.bkg"
     code, lines, err = run_cli(capsys, "grid", "--profile", "doubling",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bakerlab import _kernels
+from bakerlab import _kernels, cli, dynamics
 from bakerlab.dynamics import (
     GRID_MAGIC,
     STATUS_BOUNDED,
@@ -17,10 +17,10 @@ from bakerlab.dynamics import (
     default_escape_radius,
     iterate,
     read_grid,
-    resolve_threads,
     write_grid,
 )
 from bakerlab.params import make_toy, params_digest
+from bakerlab.render import render_phase
 
 DOUBLING = make_toy("doubling")
 
@@ -148,6 +148,21 @@ class TestGrid:
             assert np.array_equal(g.status, grids[0].status)
             assert np.array_equal(g.step, grids[0].step)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_grid_is_batching_invariant(self, threads):
+        # 300x300 is more than CLASSIFY_CHUNK points: one band takes two
+        # chunks (218 rows, then 82), two bands one each; the bytes are
+        # those of one classify_field call over every pixel
+        nx = ny = 300
+        assert nx * ny > dynamics.CLASSIFY_CHUNK
+        g = classify_grid((-8 - 8j, 8 + 8j), nx, ny, DOUBLING, max_steps=3,
+                          escape_radius=64.0, threads=threads)
+        status, step = _kernels.classify_field(
+            np.tile(axis_coords(-8.0, 8.0, nx), ny),
+            np.repeat(axis_coords(-8.0, 8.0, ny), nx), DOUBLING, 3, 64.0)
+        assert np.array_equal(g.status.ravel(), status)
+        assert np.array_equal(g.step.ravel(), step)
+
     def test_corner_order_is_irrelevant(self):
         a = classify_grid((-3 - 3j, 3 + 3j), 9, 9, DOUBLING, max_steps=10)
         b = classify_grid((3 + 3j, -3 - 3j), 9, 9, DOUBLING, max_steps=10)
@@ -183,13 +198,65 @@ class TestAxisCoords:
             axis_coords(lo, hi, 4)
 
 
-class TestThreads:
-    def test_explicit_wins(self):
-        assert resolve_threads(3) == 3
+class _FakePool:
+    """Stands in for ThreadPoolExecutor: records the pool size and runs the
+    bands in order on the calling thread, so no thread is started."""
 
-    def test_default_is_positive(self):
-        assert resolve_threads() >= 1
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestThreads:
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        monkeypatch.setattr(_FakePool, "sizes", [])
+        monkeypatch.setattr(dynamics, "ThreadPoolExecutor", _FakePool)
+
+    @staticmethod
+    def _bands(ny, **kw):
+        rows = []
+        dynamics.run_row_bands((-1 - 1j, 1 + 1j), 2, ny, chunk=2,
+                               chunk_fn=lambda zx, zy, sl: rows.append(sl),
+                               **kw)
+        assert sorted(sl.start for sl in rows) == list(range(0, 2 * ny, 2))
+        return _FakePool.sizes
+
+    def test_default_runs_without_a_pool(self):
+        classify_grid((-1 - 1j, 1 + 1j), 4, 4, DOUBLING, max_steps=2)
+        render_phase((-1 - 1j, 1 + 1j), 4, 4, DOUBLING)
+        assert _FakePool.sizes == []
+
+    def test_explicit_wins(self):
+        assert self._bands(16, threads=3) == [3]
+
+    def test_bands_are_capped(self):
+        # 4096 rows of two points, one row per call
+        assert self._bands(4096, threads=10**6) == [dynamics.MAX_BANDS]
+
+    def test_no_more_bands_than_rows(self):
+        assert self._bands(2, threads=3) == [2]
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            resolve_threads(0)
+        with pytest.raises(ValueError, match="thread count"):
+            self._bands(4, threads=0)
+        assert _FakePool.sizes == []
+
+    def test_cli_threads(self, tmp_path, capsys):
+        out = tmp_path / "g.bkg"
+        argv = ["grid", "--profile", "doubling", "--rect=-1,-1,1,1",
+                "--nx", "1", "--ny", "4096", "--steps", "1", "--out", str(out)]
+        assert cli.main(argv + ["--threads", "0"]) == 2
+        assert not out.exists() and "thread count" in capsys.readouterr().err
+        assert cli.main(argv + ["--threads", "1000000"]) == 0
+        assert _FakePool.sizes == [dynamics.MAX_BANDS]

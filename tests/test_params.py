@@ -118,6 +118,13 @@ def test_paramseq_rejects_degrees_beyond_double_exactness():
         ParamSeq(r=(2.0, 4.0), n=(1, 1 << 53))
 
 
+def test_paramseq_rejects_radii_whose_probe_radius_overflows():
+    assert ParamSeq(r=(1e307, 1.7e308), n=(1, 1 << 52)).r[1] == 1.7e308
+    for r, n in (((1e308, 1.7e308), (1, 2)), ((1.7e308,), (1,))):
+        with pytest.raises(ValueError, match="probe radii"):
+            ParamSeq(r=r, n=n)
+
+
 def test_canonical_json_and_digest_are_stable():
     p = make_toy("doubling")
     canon = params_to_json(p)

@@ -107,16 +107,20 @@ def test_phase_render_hits_stored_zero_pixel():
     assert np.array_equal(px[row, col], [0, 0, 0])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_phase_render_is_batching_invariant(threads):
+@pytest.mark.parametrize("nx, ny, threads", [
+    pytest.param(181, 137, 1, id="1"),
+    pytest.param(181, 137, 2, id="2"),
+    # a row wider than PHASE_CHUNK: one row per call
+    pytest.param(8200, 2, 1, id="wide-row"),
+])
+def test_phase_render_is_batching_invariant(nx, ny, threads):
     # chunked evaluation gives the bytes of one whole-grid h_field call;
-    # one band holds three full chunks and a ragged fourth
+    # at 181 wide one band holds three full chunks and a ragged fourth
     p = make_toy("steep")
-    nx, ny = 181, 137
-    assert nx * ny > 3 * render.PHASE_CHUNK
-    gy, gx = np.meshgrid(axis_coords(-20.0, 20.0, ny),
-                         axis_coords(-20.0, 20.0, nx), indexing="ij")
-    code, lm, ag = h_field(gx.ravel(), gy.ravel(), p)
+    assert nx * ny > 2 * render.PHASE_CHUNK
+    zx = np.tile(axis_coords(-20.0, 20.0, nx), ny)
+    zy = np.repeat(axis_coords(-20.0, 20.0, ny), nx)
+    code, lm, ag = h_field(zx, zy, p)
     whole = ppm_bytes(phase_shade(lm, ag).reshape(ny, nx, 3))
     assert render_phase((-20 - 20j, 20 + 20j), nx, ny, p,
                         threads=threads) == whole

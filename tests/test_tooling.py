@@ -1,10 +1,13 @@
 """Static checks on the source tree: the traced benchmark run wraps library
 functions by module and name (`perfbench/tracing.py`), so every name it lists
-must still exist; and no module keeps an import it does not use."""
+must still exist; no module keeps an import it does not use; and no comment
+or string cites a ROADMAP item by number, since the items are renumbered."""
 
 import ast
 import importlib
 import importlib.util
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,24 @@ def test_no_unused_imports():
                if p.name != "__init__.py"]
     assert modules
     assert [u for p in modules for u in _unused_imports(p)] == []
+
+
+def _item_citations(path):
+    # comments and string literals (docstrings included) that name an item
+    # by number, such as "open item 3"
+    cite = re.compile(r"\bitems?\s+\d", re.IGNORECASE)
+    with tokenize.open(path) as fh:
+        tokens = list(tokenize.generate_tokens(fh.readline))
+    found = []
+    for tok in tokens:
+        if tok.type in (tokenize.COMMENT, tokenize.STRING):
+            for m in cite.finditer(tok.string):
+                line = tok.start[0] + tok.string.count("\n", 0, m.start())
+                found.append(f"{path.name}:{line}")
+    return found
+
+
+def test_no_roadmap_item_numbers_in_source():
+    modules = sorted((ROOT / "src" / "bakerlab").glob("*.py"))
+    assert modules
+    assert [c for p in modules for c in _item_citations(p)] == []
