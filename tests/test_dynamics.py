@@ -224,11 +224,10 @@ class TestThreads:
         monkeypatch.setattr(dynamics, "ThreadPoolExecutor", _FakePool)
 
     @staticmethod
-    def _bands(ny, **kw):
+    def _bands(ny, threads):
         rows = []
-        dynamics.run_row_bands((-1 - 1j, 1 + 1j), 2, ny, chunk=2,
-                               chunk_fn=lambda zx, zy, sl: rows.append(sl),
-                               **kw)
+        dynamics.run_row_bands((-1 - 1j, 1 + 1j), 2, ny, threads, 2,
+                               lambda zx, zy, sl: rows.append(sl))
         assert sorted(sl.start for sl in rows) == list(range(0, 2 * ny, 2))
         return _FakePool.sizes
 
@@ -238,18 +237,18 @@ class TestThreads:
         assert _FakePool.sizes == []
 
     def test_explicit_wins(self):
-        assert self._bands(16, threads=3) == [3]
+        assert self._bands(16, 3) == [3]
 
     def test_bands_are_capped(self):
         # 4096 rows of two points, one row per call
-        assert self._bands(4096, threads=10**6) == [dynamics.MAX_BANDS]
+        assert self._bands(4096, 10**6) == [dynamics.MAX_BANDS]
 
     def test_no_more_bands_than_rows(self):
-        assert self._bands(2, threads=3) == [2]
+        assert self._bands(2, 3) == [2]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="thread count"):
-            self._bands(4, threads=0)
+            self._bands(4, 0)
         assert _FakePool.sizes == []
 
     def test_cli_threads(self, tmp_path, capsys):
