@@ -228,6 +228,21 @@ def _h_field_numpy(zx, zy, factors):
     return zero.astype(np.uint8), acc_lm, acc_ag
 
 
+def h_cartesian(lm, ag):
+    """``(Re h, Im h)`` of the log-polar ``h = exp(lm + i*ag)``, elementwise.
+
+    Within ``lm <= CARTESIAN_BAND`` this is ``exp(lm) (cos ag, sin ag)``,
+    so a snapped zero (lm = -inf, ag = 0) gives exactly 0 and a tiny h may
+    underflow to 0.  Beyond the band it is ``(+-inf, 0)``, the sign taken
+    from ``cos(ag)``: there ``e^h`` overflows or vanishes.
+    """
+    big = lm > CARTESIAN_BAND
+    c = np.cos(ag)
+    mod = np.exp(np.where(big, 0.0, lm))
+    re_h = np.where(big, np.where(c >= 0.0, np.inf, -np.inf), mod * c)
+    return re_h, np.where(big, 0.0, mod * np.sin(ag))
+
+
 def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
     npts = zx.shape[0]
     # per start point, by global index: escape step (0 while bounded) and
@@ -246,13 +261,8 @@ def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
         fresh = idx[(hlm < LOG_LN2) & ~nzt[idx]]
         nzt[fresh] = True
         nzt_step[fresh] = s
+        re_h, im_h = h_cartesian(hlm, hag)
         with np.errstate(over="ignore", invalid="ignore"):
-            # a snapped zero has hlm = -inf and hag = 0, so h is exactly 0
-            big = hlm > CARTESIAN_BAND
-            ch = np.cos(hag)
-            mod = np.exp(np.where(big, 0.0, hlm))
-            re_h = np.where(big, np.where(ch >= 0.0, np.inf, -np.inf), mod * ch)
-            im_h = np.where(big, 0.0, mod * np.sin(hag))
             esc_log = re_h > CARTESIAN_BAND
             emod = np.exp(np.where(esc_log, 0.0, re_h))
             ia = _reduce_np(np.where(esc_log, 0.0, im_h))

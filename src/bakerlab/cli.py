@@ -29,16 +29,16 @@ from .verify import (asymptotic_deviation, obstruction_chain, ring_field,
 
 
 def _complex_arg(text: str) -> complex:
-    """Parse 'RE,IM' (or a bare real) into a complex number."""
+    """Parse 'RE,IM' (or a bare real) into a complex with finite parts."""
     try:
-        parts = text.split(",")
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(v) for v in text.split(",")]
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected RE,IM got {text!r}")
+        parts = []
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"expected RE,IM got {text!r}")
+    if not all(math.isfinite(v) for v in parts):
+        raise argparse.ArgumentTypeError(f"RE,IM must be finite, got {text!r}")
+    return complex(*parts)
 
 
 def _rect_arg(text: str) -> tuple[complex, complex]:

@@ -2,12 +2,12 @@
 batch grid classification and the binary grid file format.
 
 `run_row_bands` samples a rectangle for both grid classification and phase
-portraits: whole-row chunks, built from the two axis vectors and written by
-the caller into arrays it owns, in one row band unless more threads are
-asked for (at most `MAX_BANDS`).  Every pixel is an independent pure
-computation, so output bytes are identical for any thread count and chunk
-size.  Scalar `iterate` and the batch kernels implement the same stepping
-rule and are cross-checked in the tests.
+portraits: chunks of a bounded number of points, built from the two axis
+vectors and written by the caller into arrays it owns, in one row band
+unless more threads are asked for (at most `MAX_BANDS`).  Every pixel is an
+independent pure computation, so output bytes are identical for any thread
+count and chunk size.  Scalar `iterate` and the batch kernels implement the
+same stepping rule and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ def iterate(z0: complex, p: ParamSeq, max_steps: int = 64,
     if escape_radius is None:
         escape_radius = default_escape_radius(p)
     _kernels.check_escape_radius(p, escape_radius)
+    # the kernels' escape test, |z|^2 > R^2 with R^2 rounded once
+    esc2 = escape_radius * escape_radius
     points = [complex(z0)]
     tail = None
     step = None
@@ -75,12 +77,9 @@ def iterate(z0: complex, p: ParamSeq, max_steps: int = 64,
     for s in range(max_steps):
         z = points[-1]
         hres = eval_h(z, p)
-        small = False
-        if isinstance(hres.value, Zero):
-            small = True
-        elif isinstance(hres.value, complex):
-            small = abs(hres.value) < math.log(2.0)
-        if small and nzt_step is None:
+        h = hres.value
+        if nzt_step is None and (isinstance(h, Zero) or (
+                isinstance(h, complex) and abs(h) < math.log(2.0))):
             nzt_step = s
         fres = eval_f(z, p, hres=hres)
         if isinstance(fres.value, LogComplex):
@@ -89,7 +88,7 @@ def iterate(z0: complex, p: ParamSeq, max_steps: int = 64,
             break
         z1 = fres.value
         points.append(z1)
-        if abs(z1) > escape_radius:
+        if z1.real * z1.real + z1.imag * z1.imag > esc2:
             step = s + 1
             break
     if step is not None:
@@ -152,13 +151,14 @@ CLASSIFY_CHUNK = 65536
 
 def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
                   threads: int, chunk: int, chunk_fn) -> None:
-    """Sample rect on an nx-by-ny pixel grid and evaluate it in whole rows.
+    """Sample rect on an nx-by-ny pixel grid and evaluate it in chunks.
 
     rect is any two opposite corners; a degenerate rectangle collapses to a
     single sample at that point.  ``chunk_fn(zx, zy, sl)`` receives at most
-    ``chunk`` points (one row if a row is longer) as flat row-major
-    coordinates, and ``sl``, their slice of the flat row-major grid, where
-    the caller writes its results; slices never overlap.  The rows split into
+    ``chunk`` points as flat row-major coordinates, and ``sl``, their slice
+    of the flat row-major grid, where the caller writes its results; slices
+    never overlap.  The coordinates are cut from the rows the chunk touches,
+    so beyond the chunk they cost at most two rows.  The rows split into
     ``min(threads, ny, MAX_BANDS)`` bands; with more than one, each band
     runs on its own pool thread.
     """
@@ -167,13 +167,16 @@ def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
     z0, z1 = complex(rect[0]), complex(rect[1])
     xs = axis_coords(min(z0.real, z1.real), max(z0.real, z1.real), nx)
     ys = axis_coords(min(z0.imag, z1.imag), max(z0.imag, z1.imag), ny)
-    rows = max(1, chunk // nx)
 
     def run_band(band):
-        for a in range(band[0], band[1], rows):
-            b = min(a + rows, band[1])
-            chunk_fn(np.tile(xs, b - a), np.repeat(ys[a:b], nx),
-                     slice(a * nx, b * nx))
+        end = band[1] * nx
+        for a in range(band[0] * nx, end, chunk):
+            b = min(a + chunk, end)
+            # the rows the chunk touches, cut to the chunk's points
+            r0, r1 = a // nx, (b - 1) // nx + 1
+            cut = slice(a - r0 * nx, b - r0 * nx)
+            chunk_fn(np.tile(xs, r1 - r0)[cut],
+                     np.repeat(ys[r0:r1], nx)[cut], slice(a, b))
 
     edges = np.linspace(0, ny, min(threads, ny, MAX_BANDS) + 1).astype(int)
     bands = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
@@ -214,7 +217,7 @@ def write_grid(path, grid: Grid) -> None:
         fh.write(GRID_MAGIC)
         fh.write(struct.pack("<II", grid.nx, grid.ny))
         fh.write(grid.digest)
-        fh.write(cells.tobytes())
+        fh.write(cells)
 
 
 def read_grid(path) -> Grid:

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import CARTESIAN_BAND
-from .logc import (CARTESIAN_LOGMOD_MAX, TWO_PI, ZERO, LogComplex, Zero,
-                   reduce_angle)
+from .logc import CARTESIAN_LOGMOD_MAX, TWO_PI, ZERO, LogComplex, Zero
 from .params import ParamSeq, derive, require_ring_index
 
 E = math.e
@@ -37,8 +36,9 @@ class NonConvergence(ArithmeticError):
 class EvalResult:
     """Value of h or f with its truncation-error bound.
 
-    value is a cartesian complex when representable, the Zero marker at exact
-    zeros, or a LogComplex once the magnitude leaves cartesian range.
+    value is the Zero marker at exact zeros, a LogComplex once the magnitude
+    passes e^700 (`CARTESIAN_BAND`), and a cartesian complex otherwise, so a
+    tiny value is cartesian and may underflow to 0.
     trunc_bound bounds the relative error of the omitted product tail for
     every continuation r_{K+i} >= 2^i r_K, n_{K+i} >= K+i (`ring_log_max`);
     from |z| >= 2 r_K it is +inf.  `regime` and `unbounded_tail` (the keys
@@ -54,7 +54,8 @@ class EvalResult:
 
     @property
     def regime(self) -> str:
-        """Either "escaped" (value is a LogComplex) or "exact-ish"."""
+        """"escaped" when value is a LogComplex (for h: |h| > e^700), else
+        "exact-ish"."""
         return "escaped" if isinstance(self.value, LogComplex) else "exact-ish"
 
     @property
@@ -113,7 +114,8 @@ def eval_h(z: complex, p: ParamSeq) -> EvalResult:
 
     The value comes from the scalar core `_kernels._h_point`.  Factors whose
     power lands within the snap tolerance of -1 yield the exact Zero; this is
-    what makes the downstream identity f(a) = a + 1 bitwise.
+    what makes the downstream identity f(a) = a + 1 bitwise.  The value is
+    cartesian while log|h| <= `CARTESIAN_BAND`, as in the batch kernels.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -122,7 +124,7 @@ def eval_h(z: complex, p: ParamSeq) -> EvalResult:
     is0, lm, ag = _kernels._h_point(z.real, z.imag, _kernels.prepared(p))
     if is0:
         value = ZERO
-    elif abs(lm) <= CARTESIAN_BAND:
+    elif lm <= CARTESIAN_BAND:
         mod = math.exp(lm)
         value = complex(mod * math.cos(ag), mod * math.sin(ag))
     else:
@@ -134,7 +136,10 @@ def eval_f(z: complex, p: ParamSeq,
            hres: "EvalResult | None" = None) -> EvalResult:
     """z + e^{h(z)}, escaping to log form when e^h leaves cartesian range.
 
-    hres may pass in a precomputed eval_h(z, p) result to avoid recomputing.
+    A log-polar h has |h| > e^700: then e^h overflows (f is returned as
+    LogComplex(inf, 0)) or vanishes (f = z), by the sign of cos(arg h).  For
+    a cartesian h, f is log-polar once Re h > `CARTESIAN_BAND`.  hres may
+    pass in a precomputed eval_h(z, p) result to avoid recomputing.
     """
     z = complex(z)
     if hres is None:
@@ -143,10 +148,9 @@ def eval_f(z: complex, p: ParamSeq,
     if isinstance(h, Zero):
         value = z + 1.0  # e^0 = 1: exact unit translation
     elif isinstance(h, LogComplex):
-        # |h| itself beyond cartesian range: e^h is 0 or an over-overflow
         value = LogComplex(math.inf, 0.0) if math.cos(h.arg) >= 0.0 else z
     elif h.real > CARTESIAN_BAND:
-        value = LogComplex(h.real, reduce_angle(h.imag))
+        value = LogComplex(h.real, h.imag)
     else:
         value = z + cmath.exp(h)  # exp may underflow to 0, leaving f = z
     return EvalResult(value, hres.trunc_bound)
@@ -243,16 +247,12 @@ _MAX_DEPTH = 30
 
 def _integrand_exp_neg_h(ts: np.ndarray, p: ParamSeq) -> np.ndarray:
     # e^{-h} at a batch of points; exact zeros of h give exactly 1
-    code, lm, ag = _kernels.h_field(ts.real, ts.imag, p)
-    big = lm > CARTESIAN_BAND
-    mod = np.exp(np.where(big, 0.0, lm))
-    h = mod * np.cos(ag) + 1j * mod * np.sin(ag)
-    h = np.where(code == 1, 0.0, h)
+    _, lm, ag = _kernels.h_field(ts.real, ts.imag, p)
+    re_h, im_h = _kernels.h_cartesian(lm, ag)
     # e^{-h} overflows once Re h < -CARTESIAN_LOGMOD_MAX, whatever |h| is
-    if np.any((big & (np.cos(ag) < 0.0)) | (h.real < -CARTESIAN_LOGMOD_MAX)):
+    if np.any(re_h < -CARTESIAN_LOGMOD_MAX):
         raise NonConvergence("integrand overflow: Re h below -exp range")
-    out = np.exp(-h)
-    return np.where(big, 0.0, out)
+    return np.exp(-(re_h + 1j * im_h))
 
 
 def _gk_panel(z0: complex, dz: complex, ua: float, ub: float,

@@ -5,10 +5,9 @@ Output is P6 (binary) PPM only; bytes are a pure function of the inputs.
 Phase portraits fold the argument to |arg|/pi for the hue so that images of
 rectangles symmetric about the real axis are mirror-symmetric byte for byte
 (the function commutes with conjugation).  A phase portrait is evaluated
-and shaded in whole-row chunks of at most `PHASE_CHUNK` points (one row if
-a row is longer), each written into one preallocated RGB array, so the
-temporaries are bounded by the chunk, not the image; per-pixel results do
-not depend on the chunking.
+and shaded in chunks of at most `PHASE_CHUNK` points, each written into one
+preallocated RGB array, so the kernel's temporaries are bounded by the
+chunk, not the image; per-pixel results do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ def ppm_bytes(pixels: np.ndarray) -> bytes:
     if depth != 3 or pixels.dtype != np.uint8:
         raise ValueError("pixels must be (ny, nx, 3) uint8")
     header = f"P6\n{nx} {ny}\n255\n".encode("ascii")
-    return header + pixels.tobytes()
+    return b"".join((header, np.ascontiguousarray(pixels)))
 
 
 def render_escape(grid: Grid, palette: str = "ember") -> bytes:

@@ -159,9 +159,13 @@ def test_escape_radius_inside_last_ring_is_rejected(capsys, tmp_path, command,
 
 
 def test_bad_complex_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["eval", "--profile", "doubling", "--z", "one+two"])
-    assert exc.value.code == 2
+    for argv in (["eval", "--z", "one+two"],
+                 ["eval", "--what", "g", "--z=inf,0"],
+                 ["orbit", "--z=0,nan"],
+                 ["obstruct", "--k", "2", "--t", "0.3", "--c=nan,0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--profile", "doubling"])
+        assert exc.value.code == 2, argv
 
 
 def test_profile_and_file_are_exclusive():

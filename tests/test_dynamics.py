@@ -1,5 +1,6 @@
 """Orbit iteration, grid classification, grid file IO, determinism."""
 
+import cmath
 import math
 
 import numpy as np
@@ -19,10 +20,20 @@ from bakerlab.dynamics import (
     read_grid,
     write_grid,
 )
-from bakerlab.params import make_toy, params_digest
+from bakerlab.hfun import eval_f
+from bakerlab.params import ParamSeq, make_toy, params_digest
 from bakerlab.render import render_phase
 
 DOUBLING = make_toy("doubling")
+STEEP = make_toy("steep")
+# 140 factors whose product at TINY_H_Z is far below e^-700
+TINY_H = ParamSeq(r=tuple(1 + k * 2.0 ** -40 for k in range(1, 141)),
+                  n=tuple(range(1, 141)))
+TINY_H_Z = complex(-0.9999999999)
+
+
+def _stored_zero(p, k, nu):
+    return cmath.rect(p.r[k - 1], (2 * nu + 1) * math.pi / p.n[k - 1])
 
 
 class TestIterate:
@@ -89,6 +100,34 @@ class TestScalarKernelParity:
             rec = iterate(complex(x, y), p, max_steps=40, escape_radius=64.0)
             assert (s, t) == _kernel_cell(rec), (x, y)
 
+    @pytest.mark.parametrize("p, z, steps, radius, cell", [
+        pytest.param(TINY_H, TINY_H_Z, 2, 10.0, (STATUS_NEAR_ZERO, 0),
+                     id="tiny-h"),
+        # zeros whose first step lands within an ulp of the escape radius,
+        # where |z| > R and |z|^2 > R^2 disagree
+        pytest.param(DOUBLING, _stored_zero(DOUBLING, 4, 2), 1,
+                     16.576436512611124,
+                     (STATUS_ESCAPED_AFTER_NEAR_ZERO, 1), id="doubling-4-2"),
+        pytest.param(STEEP, _stored_zero(STEEP, 4, 2), 1, 16.999557093054953,
+                     (STATUS_ESCAPED_AFTER_NEAR_ZERO, 1), id="steep-4-2"),
+        pytest.param(STEEP, _stored_zero(STEEP, 4, 5), 1, 16.997856868811848,
+                     (STATUS_ESCAPED_AFTER_NEAR_ZERO, 1), id="steep-4-5"),
+        pytest.param(STEEP, _stored_zero(STEEP, 4, 8), 1, 16.994883531919132,
+                     (STATUS_ESCAPED_AFTER_NEAR_ZERO, 1), id="steep-4-8"),
+    ])
+    def test_edge_orbits_match_the_kernel(self, p, z, steps, radius, cell):
+        status, step = _kernels.classify_field([z.real], [z.imag], p, steps,
+                                               radius)
+        assert (status[0], step[0]) == cell
+        rec = iterate(z, p, max_steps=steps, escape_radius=radius)
+        assert _kernel_cell(rec) == cell
+
+    def test_tiny_h_is_a_unit_translation(self):
+        # |h| < e^-700 is cartesian (here it underflows to 0), not log-polar
+        res = eval_f(TINY_H_Z, TINY_H)
+        assert res.value == TINY_H_Z + 1
+        assert res.regime == "exact-ish"
+
     def test_grid_matches_iterate_pixel_by_pixel(self):
         # iterate runs every step; the kernels stop at a frozen orbit
         g = classify_grid((-8 - 8j, 8 + 8j), 16, 16, DOUBLING, max_steps=40,
@@ -151,8 +190,8 @@ class TestGrid:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_grid_is_batching_invariant(self, threads):
         # 300x300 is more than CLASSIFY_CHUNK points: one band takes two
-        # chunks (218 rows, then 82), two bands one each; the bytes are
-        # those of one classify_field call over every pixel
+        # chunks (65536 points, then 24464), two bands one each; the bytes
+        # are those of one classify_field call over every pixel
         nx = ny = 300
         assert nx * ny > dynamics.CLASSIFY_CHUNK
         g = classify_grid((-8 - 8j, 8 + 8j), nx, ny, DOUBLING, max_steps=3,

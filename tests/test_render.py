@@ -110,7 +110,7 @@ def test_phase_render_hits_stored_zero_pixel():
 @pytest.mark.parametrize("nx, ny, threads", [
     pytest.param(181, 137, 1, id="1"),
     pytest.param(181, 137, 2, id="2"),
-    # a row wider than PHASE_CHUNK: one row per call
+    # rows wider than PHASE_CHUNK: three calls of 8192, 8192 and 16 points
     pytest.param(8200, 2, 1, id="wide-row"),
 ])
 def test_phase_render_is_batching_invariant(nx, ny, threads):
@@ -127,14 +127,16 @@ def test_phase_render_is_batching_invariant(nx, ny, threads):
 
 
 def test_phase_render_memory_is_bounded():
-    # one 512x512 band; unchunked, its full-size temporaries peak near 50 MiB
-    tracemalloc.start()
-    try:
-        render_phase((-6 - 6j, 6 + 6j), 512, 512, DOUBLING, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    # one band of 262144 pixels; unchunked, its full-size temporaries peak
+    # near 50 MiB, also when the band is one row longer than the chunk
+    for p, nx, ny in ((DOUBLING, 512, 512), (make_toy("steep"), 262144, 1)):
+        tracemalloc.start()
+        try:
+            render_phase((-6 - 6j, 6 + 6j), nx, ny, p, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, (nx, ny, peak)
 
 
 def test_escape_render_matches_grid_dimensions():
