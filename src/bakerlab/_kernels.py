@@ -9,10 +9,19 @@ floats and returns them.  Per-pixel results are independent of how the
 input is batched, which is what makes row-parallel and chunked callers
 deterministic across thread counts and chunk sizes.
 
+Each factor ``1 + w``, ``w = (z/r)^n``, has two regimes, split at
+``|log|w|| = FAR_EDGE``.  Near the ring, ``1 + w`` is summed in cartesian
+form, and only there is it tested for a snap to its exact zero
+(`factor_snap_eps`).  In the far field ``|w|`` or ``1/|w|`` is at most
+e^-50, so the factor cannot vanish; with ``v = e^{-|log|w||}`` one
+``L = log(1 + v e^{i arg w})`` serves both sides: it is ``log(1 + w)`` for
+a small w, and since ``1 + w = w (1 + 1/w)``, ``log(1 + w)`` is
+``log|w| + Re L + i (arg w - Im L)`` for a big one.
+
 `_h_field_numpy` splits ``arg z`` once per call for every factor's
-compensated product, and evaluates each factor's magnitude regimes
-(small, mid, big) on their own points; a regime that holds every point is
-evaluated on whole-array views, without gathers or scatters.
+compensated product, and evaluates each regime on its own points; a
+regime that holds every point is evaluated on whole-array views, without
+gathers or scatters.
 
 The compensated angle multiplication is exact only for degrees
 ``n_k < 2**53``; `ParamSeq` enforces that bound.
@@ -36,6 +45,9 @@ _EPS = 2.220446049250313e-16
 LOG_LN2 = math.log(math.log(2.0))
 # a value whose log-modulus stays within this band is written in cartesian form
 CARTESIAN_BAND = 700.0
+# a factor 1 + w with |log|w|| >= FAR_EDGE is in the far field: |w| or 1/|w|
+# is at most e^-50, so 1 + w cannot vanish there
+FAR_EDGE = 50.0
 
 
 def factor_snap_eps(n: int) -> float:
@@ -119,23 +131,20 @@ def _h_point(zx, zy, factors):
         # compensated n*arg, then mod 2*pi
         hi, lo = _split_prod(n, agz, agh, agl)
         wag = _reduce_dd(hi, lo)
-        if abs(wlm) <= eps and (math.pi - abs(wag)) <= eps:
+        if abs(wlm) >= FAR_EDGE:
+            v = math.exp(-abs(wlm))
+            flm = 0.5 * math.log1p(v * (2.0 * math.cos(wag) + v))
+            fag = math.atan2(v * math.sin(wag), 1.0 + v * math.cos(wag))
+            if wlm > 0.0:
+                # 1 + w = w (1 + 1/w)
+                flm += wlm
+                fag = wrap_angle(wag - fag)
+        elif abs(wlm) <= eps and (math.pi - abs(wag)) <= eps:
             return True, -math.inf, 0.0
-        if wlm <= -50.0:
-            t = math.exp(wlm)
-            flm = 0.5 * math.log1p(t * (2.0 * math.cos(wag) + t))
-            fag = math.atan2(t * math.sin(wag), 1.0 + t * math.cos(wag))
-        elif wlm >= 50.0:
-            u = math.exp(-wlm)
-            flm = wlm + 0.5 * math.log1p(u * (2.0 * math.cos(wag) + u))
-            fag = wrap_angle(
-                wag + math.atan2(-u * math.sin(wag), 1.0 + u * math.cos(wag)))
         else:
             m = math.exp(wlm)
             x = 1.0 + m * math.cos(wag)
             y = m * math.sin(wag)
-            if x == 0.0 and y == 0.0:
-                return True, -math.inf, 0.0
             flm = math.log(math.hypot(x, y))
             fag = math.atan2(y, x)
         acc_lm += flm
@@ -172,12 +181,12 @@ def _select(mask):
 
 
 def _h_field_numpy(zx, zy, factors):
-    # each factor's three magnitude regimes are evaluated on their own points
+    # each factor's two regimes are evaluated on their own points
     flm = np.empty_like(zx)
     fag = np.empty_like(zx)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # -inf at the origin, where every factor is in the small regime
-        # and adds +-0.0 to the +0.0 accumulators, so h(0) is +0.0
+        # -inf at the origin, where every factor is in the far field with
+        # a small w and adds +-0.0 to the +0.0 accumulators, so h(0) is +0.0
         lmz = np.log(np.hypot(zx, zy))
         agz = np.arctan2(zy, zx)
         agh, agl = _split(agz)
@@ -190,33 +199,32 @@ def _h_field_numpy(zx, zy, factors):
             wag = _reduce_np(hi, lo)
             cw = np.cos(wag)
             sw = np.sin(wag)
-            small = wlm <= -50.0
-            big = wlm >= 50.0
-            sel = _select(small)
+            awlm = np.abs(wlm)
+            far = awlm >= FAR_EDGE
+            sel = _select(far)
             if sel is not None:
-                t = np.exp(wlm[sel])
-                c, sn = cw[sel], sw[sel]
-                flm[sel] = 0.5 * np.log1p(t * (2.0 * c + t))
-                fag[sel] = np.arctan2(t * sn, 1.0 + t * c)
-            sel = _select(big)
-            if sel is not None:
+                v = np.exp(-awlm[sel])
+                c = cw[sel]
+                lm = 0.5 * np.log1p(v * (2.0 * c + v))
+                ag = np.arctan2(v * sw[sel], 1.0 + v * c)
                 w = wlm[sel]
-                u = np.exp(-w)
-                c, sn = cw[sel], sw[sel]
-                flm[sel] = w + 0.5 * np.log1p(u * (2.0 * c + u))
-                a = wag[sel] + np.arctan2(-u * sn, 1.0 + u * c)
-                _wrap_np(a)
-                fag[sel] = a
-            sel = _select(~(small | big))
+                big = _select(w > 0.0)
+                if big is not None:
+                    # 1 + w = w (1 + 1/w)
+                    lm[big] += w[big]
+                    a = wag[sel][big] - ag[big]
+                    _wrap_np(a)
+                    ag[big] = a
+                flm[sel] = lm
+                fag[sel] = ag
+            sel = _select(~far)
             if sel is not None:
-                w = wlm[sel]
-                m = np.exp(w)
+                m = np.exp(wlm[sel])
                 x = 1.0 + m * cw[sel]
                 y = m * sw[sel]
-                # snapped to the factor's zero, or exactly zero in floating point
-                zero[sel] |= (((np.abs(w) <= eps)
-                               & ((math.pi - np.abs(wag[sel])) <= eps))
-                              | ((x == 0.0) & (y == 0.0)))
+                # snapped to the factor's zero
+                zero[sel] |= ((awlm[sel] <= eps)
+                              & ((math.pi - np.abs(wag[sel])) <= eps))
                 flm[sel] = np.log(np.hypot(x, y))
                 fag[sel] = np.arctan2(y, x)
             acc_lm += flm

@@ -156,8 +156,18 @@ def eval_f(z: complex, p: ParamSeq,
     return EvalResult(value, hres.trunc_bound)
 
 
+# the most zeros `stored_zeros` lists, over 100 times steep's 586; paper2's
+# 2844000001 would need hundreds of GB
+STORED_ZEROS_MAX = 2 ** 16
+
+
 def stored_zeros(p: ParamSeq) -> list[tuple[int, int, complex]]:
-    """All zeros of the stored factors: (k, nu, r_k e^{(2nu+1) pi i / n_k})."""
+    """All zeros of the stored factors: (k, nu, r_k e^{(2nu+1) pi i / n_k}).
+
+    Raises ValueError when there are more than `STORED_ZEROS_MAX` of them.
+    """
+    if sum(p.n) > STORED_ZEROS_MAX:
+        raise ValueError(f"more than {STORED_ZEROS_MAX} stored zeros")
     out = []
     for k, (r_k, n_k) in enumerate(zip(p.r, p.n), start=1):
         for nu in range(n_k):

@@ -77,9 +77,10 @@ def phase_shade(logmod: np.ndarray, arg: np.ndarray) -> np.ndarray:
     h6 = np.clip(hue, 0.0, 1.0) * 5.0  # 5 sectors, red back to magenta-ish
     sector = np.floor(h6).astype(np.int64)
     frac = h6 - sector
-    s = sector % 6
-    rgb = (_HUE_BASE[s] + _HUE_SLOPE[s] * frac[..., None]) * v[..., None] * 255.0
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+    # each channel base + slope * frac and v lie in [0, 1], so the rounded
+    # values are already in [0, 255]
+    rgb = _HUE_BASE[sector] + _HUE_SLOPE[sector] * frac[..., None]
+    return np.rint(rgb * v[..., None] * 255.0).astype(np.uint8)
 
 
 # points per h_field call in a phase portrait: 64 KiB per float64

@@ -67,6 +67,9 @@ def test_eval_h_and_f(capsys):
     code, lines, _ = run_cli(capsys, "eval", "--profile", "doubling",
                              "--z", "0,2", "--what", "f")
     assert lines[0]["value"] == {"re": 1.0, "im": 2.0}
+    code, lines, _ = run_cli(capsys, "eval", "--profile", "doubling",
+                             "--z", "0,2", "--what", "h")
+    assert (code, lines[0]["value"]) == (0, {"zero": True})
 
 
 def test_eval_escaped_encodes_log_polar(capsys):
@@ -108,15 +111,24 @@ def test_eval_g_integrand_overflow_is_config_error(capsys):
     assert err.startswith("error: integrand overflow") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("n", [[True, 2], [1, 1 << 53]],
-                         ids=["bool", "2**53"])
+def test_eval_g_depth_limit_is_config_error(capsys):
+    code, lines, err = run_cli(capsys, "eval", "--profile", "doubling",
+                               "--z", "1,0", "--what", "g", "--tol", "1e-300")
+    assert (code, lines) == (2, [])
+    assert err.startswith("error: quadrature depth limit")
+
+
+@pytest.mark.parametrize("n", [[True, 2], [1, 1 << 53], [1, 2.5], None],
+                         ids=["bool", "2**53", "float", "missing"])
 @pytest.mark.parametrize("argv", [
     ["params"], ["eval", "--z", "1,0"],
     ["grid", "--rect=-1,-1,1,1", "--nx", "2", "--ny", "2"],
 ], ids=["params", "eval", "grid"])
 def test_inadmissible_degrees_are_config_errors(capsys, tmp_path, argv, n):
+    # n=None writes a file without the key
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"r": [2.0, 4.0], "n": n}))
+    path.write_text(json.dumps({"r": [2.0, 4.0]} if n is None
+                               else {"r": [2.0, 4.0], "n": n}))
     extra = ["--out", str(tmp_path / "g.bkg")] if argv[0] == "grid" else []
     code, lines, err = run_cli(capsys, *argv, "--params", str(path), *extra)
     assert code == 2
@@ -213,6 +225,32 @@ def test_verify_2a_with_csv(capsys, tmp_path):
     rows = csv_path.read_text().splitlines()
     assert rows[0] == "angle,log_abs_h,arg_h"
     assert len(rows) == 129
+
+
+@pytest.mark.parametrize("check, keys, header", [
+    ("2b", {"k", "samples", "max_rel_err"}, "t,rel_err"),
+    ("2c", {"k", "probes", "min_ratio"}, "nu,re_h,logT,ratio"),
+])
+def test_verify_2b_2c_with_csv(capsys, tmp_path, check, keys, header):
+    csv_path = tmp_path / "ring.csv"
+    code, lines, _ = run_cli(capsys, "verify", "--profile", "doubling",
+                             "--check", check, "--k", "2",
+                             "--samples", "16", "--csv", str(csv_path))
+    assert code == 0
+    assert set(lines[0]) == {"kind", "check"} | keys
+    assert csv_path.read_text().splitlines()[0] == header
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["obstruct", "--profile", "paper2", "--k", "2", "--t", "1.0"],
+     "t_k must lie in [0, 1)"),
+    (["obstruct", "--profile", "paper2", "--k", "2", "--t", "0.1",
+      "--K-bound", "0"], "K_bound must be positive"),
+    (["orbit", "--profile", "doubling", "--z", "0,0", "--steps", "0"],
+     "max_steps must be >= 1"),
+], ids=["obstruct-t", "obstruct-K-bound", "orbit-steps"])
+def test_out_of_range_options_are_config_errors(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, [], f"error: {err}\n")
 
 
 def test_verify_2c_json(capsys):
@@ -329,7 +367,7 @@ def test_render_phase_writes_ppm(capsys, tmp_path):
 
 @pytest.mark.parametrize("rect", ["-8,-8,8,inf", "-8,-8,8,nan",
                                   "-inf,-8,8,8", "-1e308,-8,1e308,8",
-                                  "-8,1e308,8,1.5e308"])
+                                  "-8,1e308,8,1.5e308", "a,b,c,d"])
 @pytest.mark.parametrize("command", ["grid", "phase"])
 def test_rect_must_be_finite(capsys, tmp_path, command, rect):
     out = tmp_path / "out"

@@ -101,6 +101,11 @@ class TestEvalF:
             assert isinstance(eval_h(a, DOUBLING).value, Zero)
             assert eval_f(a, DOUBLING).value == a + 1.0
 
+    def test_stored_zeros_refuses_paper2_at_once(self):
+        # its 2844000001 zeros would take minutes and hundreds of GB
+        with pytest.raises(ValueError, match="stored zeros"):
+            stored_zeros(make_toy("paper2"))
+
     def test_cartesian_value_matches_high_precision(self):
         z = 1.5 + 0.25j
         got = eval_f(z, DOUBLING).value
@@ -257,6 +262,25 @@ class TestIntegration:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             integrate_exp_neg_h(0.0, 1.0, DOUBLING, 0.0)
+
+    def test_steep_segment_splits_panels(self, monkeypatch):
+        panels = []
+        inner = hfun._gk_panel
+
+        def counting(*args):
+            panels.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(hfun, "_gk_panel", counting)
+        got = integrate_exp_neg_h(0.0, 3.0, DOUBLING)
+        # e^{-h} falls from 1 to 0.014 on [0, 3], too fast for one panel
+        assert len(panels) > 1
+        live = integral_exp_neg_h_ref(0.0, 3.0, DOUBLING.r, DOUBLING.n)
+        assert abs(got - live) <= 1e-13
+
+    def test_unreachable_tol_hits_the_depth_limit(self):
+        with pytest.raises(NonConvergence, match="depth limit"):
+            integrate_exp_neg_h(0.0, 1.0, DOUBLING, 1e-300)
 
 
 class TestG:

@@ -11,11 +11,15 @@ import pytest
 
 from bakerlab import _kernels
 from bakerlab.dynamics import classify_grid, iterate
-from bakerlab.params import make_toy
+from bakerlab.hfun import eval_h
+from bakerlab.logc import ZERO
+from bakerlab.params import ParamSeq, make_toy
 
 from _oracles import h_ref
 
 DOUBLING = make_toy("doubling")
+# |log|w|| at which a factor 1 + w leaves the near regime
+FAR = _kernels.FAR_EDGE
 
 
 PROFILES = [make_toy(name) for name in ("doubling", "steep", "paper2")]
@@ -88,11 +92,7 @@ def test_classify_known_points():
     assert (status[1], step[1]) == (2, 0)
 
 
-@pytest.mark.parametrize("p", PROFILES, ids=lambda p: str(p.n))
-def test_loop_and_numpy_agree_on_field(p):
-    rng = np.random.default_rng(6)
-    zx = rng.uniform(-20, 20, 500)
-    zy = rng.uniform(-20, 20, 500)
+def _assert_paths_agree(zx, zy, p):
     c0, l0, a0 = _loop_field(zx, zy, p)
     c1, l1, a1 = _kernels._h_field_numpy(zx, zy, _kernels.prepared(p))
     assert np.array_equal(c0, c1)
@@ -103,6 +103,30 @@ def test_loop_and_numpy_agree_on_field(p):
     assert np.max(np.abs(l0[m] - l1[m]) / np.maximum(1.0, np.abs(l0[m]))) < tol
     da = np.abs(np.remainder(a0 - a1 + math.pi, 2.0 * math.pi) - math.pi)
     assert np.max(da) < tol
+
+
+@pytest.mark.parametrize("p", PROFILES, ids=lambda p: str(p.n))
+def test_loop_and_numpy_agree_on_field(p):
+    rng = np.random.default_rng(6)
+    zx, zy = rng.uniform(-20, 20, (2, 500))
+    _assert_paths_agree(zx, zy, p)
+
+
+# degree 2**52: here |log|w|| = 60 is in the far field, while the snap
+# tolerance 64 eps n is about 64, so a snap test there would fire
+HUGE_DEGREE = ParamSeq((1.0,), (2 ** 52,))
+HUGE_DEGREE_Z = complex(1.0000000000000133, 6.975736996017356e-16)
+
+
+def test_far_field_factor_is_never_snapped():
+    zx, zy = np.array([HUGE_DEGREE_Z.real]), np.array([HUGE_DEGREE_Z.imag])
+    factors = _kernels.prepared(HUGE_DEGREE)
+    assert not _kernels._h_point(zx[0], zy[0], factors)[0]
+    code, field_lm, _ = _kernels.h_field(zx, zy, HUGE_DEGREE)
+    assert code[0] == 0
+    assert field_lm[0] == pytest.approx(60.0, rel=1e-12)
+    _assert_paths_agree(zx, zy, HUGE_DEGREE)
+    assert eval_h(HUGE_DEGREE_Z, HUGE_DEGREE).value is not ZERO
 
 
 def test_max_steps_must_be_positive():
@@ -128,9 +152,9 @@ def test_prepared_is_built_once_per_profile_and_read_only():
 
 
 @pytest.mark.parametrize("profile, z", [
-    ("doubling", 1e-12 + 1e-12j),  # every factor small: |w| <= e^-50
-    ("doubling", 1.5 + 0.7j),  # every factor mid
-    ("steep", 40.0 + 1.0j),  # large-modulus branch: |w| >= e^50
+    ("doubling", 1e-12 + 1e-12j),  # every factor far, w small: |w| <= e^-50
+    ("doubling", 1.5 + 0.7j),  # every factor near
+    ("steep", 40.0 + 1.0j),  # every factor far, w big: |w| >= e^50
     ("doubling", 2j),  # a snapped zero
 ], ids=["small", "mid", "large", "zero"])
 def test_scalar_core_returns_builtin_floats(profile, z):
@@ -186,7 +210,7 @@ def _regime_points(p):
     rng = np.random.default_rng(2024)
     logs = [rng.uniform(-60.0, 60.0, 600)]
     for r, n in zip(p.r, p.n):
-        logs.append(math.log(r) + (50.0 / n) * rng.uniform(-1.5, 1.5, 200))
+        logs.append(math.log(r) + (FAR / n) * rng.uniform(-1.5, 1.5, 200))
     lm = np.concatenate(logs)
     ag = rng.uniform(-math.pi, math.pi, lm.size)
     zeros = p.r[0] * np.exp(1j * math.pi * np.array([1.0, -1.0]) / p.n[0])
@@ -222,16 +246,18 @@ SINGLE_REGIME_DIGESTS = {
 
 def _single_regime_points(p, regime):
     # "small" lies below every factor's e^-50 edge (plus the origin), "big"
-    # above every e^50 edge; "mid" is a thin annulus about the last ring,
-    # inside every factor's mid band, plus two zeros of the last factor
+    # above every e^50 edge, both in the far field; "mid" is a thin annulus
+    # about the last ring, inside every factor's near band, plus two zeros
+    # of the last factor
     rng = np.random.default_rng(p.n[-1])
     span = rng.uniform(0.1, 5.0, 500)
     if regime == "small":
-        lm = min(math.log(r) - 50.0 / n for r, n in zip(p.r, p.n)) - span
+        lm = min(math.log(r) - FAR / n for r, n in zip(p.r, p.n)) - span
     elif regime == "big":
-        lm = max(math.log(r) + 50.0 / n for r, n in zip(p.r, p.n)) + span
+        lm = max(math.log(r) + FAR / n for r, n in zip(p.r, p.n)) + span
     else:
-        lm = math.log(p.r[-1]) + (25.0 / p.n[-1]) * rng.uniform(-1, 1, 500)
+        half = 0.5 * FAR / p.n[-1]
+        lm = math.log(p.r[-1]) + half * rng.uniform(-1, 1, 500)
     ag = rng.uniform(-math.pi, math.pi, lm.size)
     z = np.exp(lm) * np.exp(1j * ag)
     if regime == "small":
@@ -310,7 +336,7 @@ def test_single_regime_field_bytes_are_pinned(case):
         lmz = np.log(np.hypot(zx, zy))  # -inf at the origin: small
         for n, logr, _ in factors:
             wlm = n * (lmz - logr)
-            small, big = wlm <= -50.0, wlm >= 50.0
+            small, big = wlm <= -FAR, wlm >= FAR
             expected = {"small": small, "big": big, "mid": ~(small | big)}
             assert expected[regime].all()
     code, lm, ag = _kernels._h_field_numpy(zx, zy, factors)

@@ -148,7 +148,8 @@ def test_escape_render_matches_grid_dimensions():
 # SHA-256 of phase-portrait PPMs, recorded before the shader became
 # table-driven.  "doubling-zero" hits all six hue sectors (the sixth only
 # where arg h == pi, on the real axis) and the snapped zeros at +-2i;
-# "steep-rings" straddles every ring, so all three magnitude regimes show.
+# "steep-rings" straddles every ring, so both factor regimes show, the far
+# field on either side of each ring.
 PHASE_DIGESTS = {
     "doubling-zero":
         "606f46c80108559fda71874d23339807bd9822ecd4cb5e1fe1bced3b97d2f993",
