@@ -18,6 +18,11 @@ e^-50, so the factor cannot vanish; with ``v = e^{-|log|w||}`` one
 a small w, and since ``1 + w = w (1 + 1/w)``, ``log(1 + w)`` is
 ``log|w| + Re L + i (arg w - Im L)`` for a big one.
 
+`_classify_numpy` writes the grid's encoding as its step loop decides it,
+into the two per-point arrays a grid stores: ``status``, two flags
+(escaped = `STATUS_ESCAPED` = 1, near-zero translation = `STATUS_NEAR_ZERO`
+= 2), and ``step``.
+
 `_h_field_numpy` splits ``arg z`` once per call for every factor's
 compensated product, and evaluates each regime on its own points; a
 regime that holds every point is evaluated on whole-array views, without
@@ -45,6 +50,11 @@ _EPS = 2.220446049250313e-16
 LOG_LN2 = math.log(math.log(2.0))
 # a value whose log-modulus stays within this band is written in cartesian form
 CARTESIAN_BAND = 700.0
+# the orbit classifier's status flags, stored per pixel in grid files
+STATUS_BOUNDED = 0
+STATUS_ESCAPED = 1
+STATUS_NEAR_ZERO = 2
+STATUS_ESCAPED_AFTER_NEAR_ZERO = STATUS_ESCAPED | STATUS_NEAR_ZERO
 # a factor 1 + w with |log|w|| >= FAR_EDGE is in the far field: |w| or 1/|w|
 # is at most e^-50, so 1 + w cannot vanish there
 FAR_EDGE = 50.0
@@ -233,7 +243,7 @@ def _h_field_numpy(zx, zy, factors):
 
     acc_lm[zero] = -np.inf
     acc_ag[zero] = 0.0
-    return zero.astype(np.uint8), acc_lm, acc_ag
+    return zero, acc_lm, acc_ag
 
 
 def h_cartesian(lm, ag):
@@ -253,11 +263,10 @@ def h_cartesian(lm, ag):
 
 def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
     npts = zx.shape[0]
-    # per start point, by global index: escape step (0 while bounded) and
-    # the first near-zero-translation step
-    esc_step = np.zeros(npts, dtype=np.uint32)
-    nzt = np.zeros(npts, dtype=bool)
-    nzt_step = np.zeros(npts, dtype=np.uint32)
+    # per start point, by global index: the grid's status flags and step,
+    # each written on the step that decides it
+    status = np.zeros(npts, dtype=np.uint8)
+    step = np.zeros(npts, dtype=np.uint32)
     # the active orbits, compacted after every step
     idx = np.arange(npts)
     x, y = zx, zy
@@ -265,29 +274,31 @@ def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
     for s in range(max_steps):
         if idx.size == 0:
             break
-        code, hlm, hag = _h_field_numpy(x, y, factors)
-        fresh = idx[(hlm < LOG_LN2) & ~nzt[idx]]
-        nzt[fresh] = True
-        nzt_step[fresh] = s
+        zero, hlm, hag = _h_field_numpy(x, y, factors)
+        # an active orbit has not escaped, so its status is 0 or the flag
+        fresh = idx[(hlm < LOG_LN2) & (status[idx] == STATUS_BOUNDED)]
+        status[fresh] = STATUS_NEAR_ZERO
+        step[fresh] = s
         re_h, im_h = h_cartesian(hlm, hag)
         with np.errstate(over="ignore", invalid="ignore"):
-            esc_log = re_h > CARTESIAN_BAND
-            emod = np.exp(np.where(esc_log, 0.0, re_h))
-            ia = _reduce_np(np.where(esc_log, 0.0, im_h))
+            # an orbit with Re h beyond the band escapes whatever its step
+            # computes, so that step may overflow or be NaN: it is dropped
+            # and nothing computed for it is read
+            emod = np.exp(re_h)
+            ia = _reduce_np(im_h)
             nx = x + emod * np.cos(ia)
             # at a snapped zero the step is exactly +1; adding sin(0) to y
             # would turn a -0.0 into +0.0
-            ny = np.where(code == 1, y, y + emod * np.sin(ia))
-            out = esc_log | (nx * nx + ny * ny > esc2)
-        esc_step[idx[out]] = s + 1
+            ny = np.where(zero, y, y + emod * np.sin(ia))
+            out = (re_h > CARTESIAN_BAND) | (nx * nx + ny * ny > esc2)
+        gone = idx[out]
+        status[gone] |= STATUS_ESCAPED
+        step[gone] = s + 1
         # frozen at a floating-point fixed point: every later step repeats
         # this one, so the orbit never escapes and its flag is final
         frozen = (nx == x) & (ny == y)
         keep = ~(out | frozen)
         idx, x, y = idx[keep], nx[keep], ny[keep]
-    escaped = esc_step > 0
-    status = (escaped + 2 * nzt).astype(np.uint8)
-    step = np.where(escaped, esc_step, nzt_step)
     return status, step
 
 
@@ -304,12 +315,13 @@ def active_backend() -> str:
 def h_field(zx, zy, p: ParamSeq):
     """Evaluate the truncated product at each point ``zx[i] + i*zy[i]``.
 
-    Returns ``(code, logmod, arg)``: code 1 flags exact (snapped) zeros,
+    Returns ``(code, logmod, arg)``: uint8 code 1 flags exact (snapped) zeros,
     where logmod is -inf and arg 0.
     """
     zx = np.ascontiguousarray(zx, dtype=np.float64)
     zy = np.ascontiguousarray(zy, dtype=np.float64)
-    return _h_field_numpy(zx, zy, prepared(p))
+    zero, lm, ag = _h_field_numpy(zx, zy, prepared(p))
+    return zero.view(np.uint8), lm, ag
 
 
 def check_escape_radius(p: ParamSeq, escape_radius: float) -> None:
@@ -321,9 +333,12 @@ def check_escape_radius(p: ParamSeq, escape_radius: float) -> None:
 def classify_field(zx, zy, p: ParamSeq, max_steps: int, escape_radius: float):
     """Orbit classification for each start point.
 
-    Status codes: 0 bounded-so-far, 1 escaped, 2 near-zero-translation seen
-    (still bounded), 3 escaped after a near-zero-translation phase.  ``step``
-    is the first escape index for 1/3, the first flag index for 2, else 0.
+    Returns ``(status, step)``, uint8 and uint32.  Status is two flags,
+    each written on the step that decides it: near-zero translation
+    (`STATUS_NEAR_ZERO` = 2) on the first step with ``|h| < ln 2``, with
+    ``step`` set to that step's index s; escaped (`STATUS_ESCAPED` = 1) on
+    the step that leaves the escape radius, with ``step`` set to s + 1.  So
+    0 is bounded so far, 3 escaped after a near-zero-translation phase.
 
     An orbit that lands on a floating-point fixed point (``f(z) == z``
     bitwise) stops there with its final status, 0 or 2.  That is an artefact

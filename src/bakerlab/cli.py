@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (check_axis_bounds, classify_grid, iterate, read_grid,
                        write_grid)
-from .hfun import NonConvergence, eval_f, eval_g, eval_h
+from .hfun import eval_f, eval_g, eval_h
 from .hyperbolic import CHECKS, run_check
 from .logc import LogComplex, Zero
 from .params import ParamSeq, load_params, make_toy, params_to_json, validate_1b
@@ -329,9 +329,11 @@ _DISPATCH = {
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # exit 2 also for results that overflow (ArithmeticError, which covers
+    # hfun.NonConvergence) or do not fit in memory
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError, NonConvergence) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,10 +27,11 @@ from .params import ParamSeq, params_digest
 
 GRID_MAGIC = b"BKGRID1"
 
-STATUS_BOUNDED = 0
-STATUS_ESCAPED = 1
-STATUS_NEAR_ZERO = 2
-STATUS_ESCAPED_AFTER_NEAR_ZERO = 3
+# the grid's status flags, defined by the classifier that writes them
+STATUS_BOUNDED = _kernels.STATUS_BOUNDED
+STATUS_ESCAPED = _kernels.STATUS_ESCAPED
+STATUS_NEAR_ZERO = _kernels.STATUS_NEAR_ZERO
+STATUS_ESCAPED_AFTER_NEAR_ZERO = _kernels.STATUS_ESCAPED_AFTER_NEAR_ZERO
 
 _CELL_DTYPE = np.dtype([("status", "u1"), ("step", "<u4")])
 

@@ -21,15 +21,15 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import CARTESIAN_BAND
-from .logc import CARTESIAN_LOGMOD_MAX, TWO_PI, ZERO, LogComplex, Zero
+from .logc import TWO_PI, ZERO, LogComplex, Zero
 from .params import ParamSeq, derive, require_ring_index
 
 E = math.e
 
 
 class NonConvergence(ArithmeticError):
-    """Adaptive quadrature failed: the integrand left double range or the
-    subdivision depth limit was reached."""
+    """Adaptive quadrature failed: a panel's integral left double range or
+    the subdivision depth limit was reached."""
 
 
 @dataclass(frozen=True)
@@ -259,9 +259,6 @@ def _integrand_exp_neg_h(ts: np.ndarray, p: ParamSeq) -> np.ndarray:
     # e^{-h} at a batch of points; exact zeros of h give exactly 1
     _, lm, ag = _kernels.h_field(ts.real, ts.imag, p)
     re_h, im_h = _kernels.h_cartesian(lm, ag)
-    # e^{-h} overflows once Re h < -CARTESIAN_LOGMOD_MAX, whatever |h| is
-    if np.any(re_h < -CARTESIAN_LOGMOD_MAX):
-        raise NonConvergence("integrand overflow: Re h below -exp range")
     return np.exp(-(re_h + 1j * im_h))
 
 
@@ -271,10 +268,15 @@ def _gk_panel(z0: complex, dz: complex, ua: float, ub: float,
     mid = 0.5 * (ua + ub)
     us = mid + half * _NODES
     ts = z0 + us * dz
-    vals = _integrand_exp_neg_h(ts, p)
     scale = half * dz
-    kron = scale * np.sum(_KW * vals)
-    gauss = scale * np.sum(_GW * vals)
+    # e^{-h} overflows once Re h passes about -709.8, and a sum of finite
+    # values may overflow too; either way the Kronrod value is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _integrand_exp_neg_h(ts, p)
+        kron = scale * np.sum(_KW * vals)
+        gauss = scale * np.sum(_GW * vals)
+    if not np.isfinite(kron):
+        raise NonConvergence(f"integrand overflow on u in [{ua}, {ub}]")
     return complex(kron), abs(kron - gauss)
 
 

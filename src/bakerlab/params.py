@@ -191,8 +191,6 @@ def load_params(path: str | Path) -> ParamSeq:
         n = tuple(data["n"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed parameter file {path}: {exc}") from exc
-    if any(not isinstance(x, int) for x in n):
-        raise ValueError(f"parameter file {path}: degrees n must be exact integers")
     return ParamSeq(r=r, n=n)
 
 

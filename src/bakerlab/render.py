@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .dynamics import Grid, STATUS_ESCAPED, run_row_bands
+from .dynamics import Grid, run_row_bands
 from .params import ParamSeq
 
 
@@ -55,9 +55,9 @@ def render_escape(grid: Grid, palette: str = "ember") -> bytes:
     are black, near-zero-translation cells are overlaid white."""
     lut = _palette_lut(palette)
     pixels = np.zeros((grid.ny, grid.nx, 3), dtype=np.uint8)
-    esc = grid.status == STATUS_ESCAPED
+    esc = grid.status == _kernels.STATUS_ESCAPED
     pixels[esc] = lut[grid.step[esc] % 256]
-    pixels[grid.status >= 2] = 255  # near-zero-translation overlay
+    pixels[(grid.status & _kernels.STATUS_NEAR_ZERO) != 0] = 255  # overlay
     return ppm_bytes(pixels)
 
 

@@ -154,10 +154,8 @@ def verify_2c(p: ParamSeq, k: int, max_probes: int = 4096) -> list[ProbeRatio]:
         nus = np.unique(np.linspace(0, n_k - 1, max_probes).astype(np.int64))
     m_k, s_k = d.m[k - 1], d.s[k - 1]
     b = np.array([_probe_b(int(nu), n_k, m_k, s_k)[2] for nu in nus])
-    bx, by = b.real, b.imag
-    _, lm, ag = _kernels.h_field(bx, by, p)
-    with np.errstate(over="ignore"):
-        re_h = np.exp(lm) * np.cos(ag)
+    _, lm, ag = _kernels.h_field(b.real, b.imag, p)
+    re_h, _ = _kernels.h_cartesian(lm, ag)
     ratio = np.exp(lm - logT) * np.cos(ag)
     return [ProbeRatio(int(nu), float(rh), logT, float(ra))
             for nu, rh, ra in zip(nus, re_h, ratio)]

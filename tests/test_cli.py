@@ -118,6 +118,22 @@ def test_eval_g_depth_limit_is_config_error(capsys):
     assert err.startswith("error: quadrature depth limit")
 
 
+@pytest.mark.parametrize("z, err_start", [
+    ("-701000,0", "error: math range error"),
+    ("-705000,0", "error: integrand overflow"),
+], ids=["exp", "panel"])
+def test_eval_g_overflow_is_config_error(capsys, tmp_path, z, err_start):
+    # h(z) = 1 + z/1000: the integral of e^{-h} to -701000 is about -e^706.9,
+    # finite, so g = exp(-integral) overflows; to -705000 a quadrature
+    # panel's sum overflows itself
+    path = tmp_path / "lin.json"
+    path.write_text(json.dumps({"r": [1000.0], "n": [1]}))
+    code, lines, err = run_cli(capsys, "eval", "--params", str(path),
+                               f"--z={z}", "--what", "g", "--tol", "1e305")
+    assert (code, lines) == (2, [])
+    assert err.startswith(err_start) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n", [[True, 2], [1, 1 << 53], [1, 2.5], None],
                          ids=["bool", "2**53", "float", "missing"])
 @pytest.mark.parametrize("argv", [
@@ -363,6 +379,26 @@ def test_render_phase_writes_ppm(capsys, tmp_path):
                              "--nx", "16", "--ny", "16", "--out", str(out))
     assert code == 0
     assert out.read_bytes().startswith(b"P6\n16 16\n255\n")
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["grid"], "classify_grid"),
+    (["render", "phase"], "render_phase"),
+], ids=["grid", "phase"])
+def test_out_of_memory_is_config_error(capsys, monkeypatch, tmp_path, argv,
+                                       target):
+    # a grid too large to allocate, without allocating it
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 931. GiB")
+
+    monkeypatch.setattr(cli, target, no_memory)
+    out = tmp_path / "out"
+    code, lines, err = run_cli(capsys, *argv, "--profile", "doubling",
+                               "--rect=-1,-1,1,1", "--nx", "1000000",
+                               "--ny", "1000000", "--out", str(out))
+    assert (code, lines) == (2, [])
+    assert err == "error: Unable to allocate 931. GiB\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rect", ["-8,-8,8,inf", "-8,-8,8,nan",

@@ -62,6 +62,7 @@ def test_h_field_matches_high_precision(path):
 def test_exact_ring_zeros_are_flagged(z):
     z = complex(z)
     code, lm, ag = _field_at([z], DOUBLING)
+    assert code.dtype == np.uint8
     assert code[0] == 1
     assert lm[0] == -np.inf
 
@@ -85,6 +86,8 @@ def test_snap_eps_scales_with_degree():
 def test_classify_known_points():
     status, step = _kernels.classify_field(
         np.array([0.0, 0.0]), np.array([0.0, 2.0]), DOUBLING, 40, 64.0)
+    # the dtypes a grid file stores
+    assert (status.dtype, step.dtype) == (np.uint8, np.uint32)
     # the origin escapes on step 3 (0 -> e -> 34.4 -> huge)
     assert (status[0], step[0]) == (1, 3)
     # 2i is a zero of the product: unit translation, |h|=1 < ln 2 boundary..
