@@ -93,21 +93,13 @@ def _split(a):
 
 
 def _split_prod(a, b, bh, bl):
-    # two_prod(a, b) for a b already split into (bh, bl), so a caller that
-    # multiplies one b by many a splits it once
+    # Veltkamp/Dekker product (hi, lo) with hi + lo == a * b exactly, for a b
+    # already split into (bh, bl), so a caller that multiplies one b by many
+    # a splits it once; works elementwise on arrays too.  Kernel output bytes
+    # depend on the order of these operations.
     hi = a * b
     ah, al = _split(a)
     return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-
-
-def two_prod(a, b):
-    """Veltkamp/Dekker product: ``(hi, lo)`` with ``hi + lo == a * b`` exactly.
-
-    Works elementwise on arrays too.  Kernel output bytes depend on the
-    order of these operations.
-    """
-    bh, bl = _split(b)
-    return _split_prod(a, b, bh, bl)
 
 
 # the Veltkamp halves of the double TWO_PI (its double-double tail is

@@ -66,7 +66,12 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class ProbePoint:
-    """The zero a and probe point b on ring k at sector nu, with theta and p."""
+    """The zero a and probe point b on ring k at sector nu, with theta and p.
+
+    p is the real value of e^{2 pi i phi}(1 + e e^{2 pi i theta}) at
+    phi = nu m_k / n_k mod 1: the rho of `theta`'s closed form, at least
+    e - 1, with h(b) about T_k p.
+    """
 
     theta: float
     a: complex
@@ -176,38 +181,44 @@ def stored_zeros(p: ParamSeq) -> list[tuple[int, int, complex]]:
     return out
 
 
-def theta(phi: float) -> float:
-    """Angle theta in [0,1) making e^{2 pi i phi} (1 + e * e^{2 pi i theta})
-    real and positive.
-
-    With alpha = -2 pi frac(phi) the condition puts u = 1 + e e^{2 pi i theta}
-    on the ray at angle alpha.  That ray meets the circle |u - 1| = e at
-    rho = cos(alpha) + sqrt(cos^2(alpha) + e^2 - 1); the other root is
-    negative because the product of the roots is 1 - e^2 < 0.  So theta =
-    arg(rho e^{i alpha} - 1) / 2 pi mod 1, and a phase whose fractional part
-    rounds to 0 or to 1 resolves to theta = 0.
-    """
+def _theta_rho(phi: float) -> tuple[float, float]:
+    # theta's closed form; rho is also the value of the product there
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
     frac = phi - math.floor(phi)
     if frac == 0.0 or frac == 1.0:
-        return 0.0
+        return 0.0, 1.0 + E
     alpha = -TWO_PI * frac
     c = math.cos(alpha)
     rho = c + math.sqrt(c * c + E * E - 1.0)
     t = math.atan2(rho * math.sin(alpha), rho * c - 1.0) / TWO_PI
     if t < 0.0:
         t += 1.0
-    return t if t < 1.0 else 0.0
+    return (t if t < 1.0 else 0.0), rho
+
+
+def theta(phi: float) -> float:
+    """Angle theta in [0,1) making e^{2 pi i phi} (1 + e * e^{2 pi i theta})
+    real and positive.
+
+    With alpha = -2 pi frac(phi) the condition puts u = 1 + e e^{2 pi i theta}
+    on the ray at angle alpha.  That ray meets the circle |u - 1| = e at
+    u = rho e^{i alpha}, rho = cos(alpha) + sqrt(cos^2(alpha) + e^2 - 1); the
+    other root is negative because the product of the roots is 1 - e^2 < 0.
+    So theta = arg(rho e^{i alpha} - 1) / 2 pi mod 1, and the product is
+    e^{2 pi i phi} rho e^{i alpha} = rho, the probe value p >= e - 1 of
+    `probe_point`.  A phase whose fractional part rounds to 0 or to 1
+    resolves to theta = 0, where the product is 1 + e.
+    """
+    return _theta_rho(phi)[0]
 
 
 def _probe_b(nu: int, n_k: int, m_k: int, s_k: float):
-    """phi = nu*m_k/n_k mod 1 (reduced in exact integer arithmetic), theta(phi)
-    and the probe b at sector nu of a ring with degree n_k and probe radius
-    s_k."""
-    phi = ((nu * m_k) % n_k) / n_k
-    th = theta(phi)
-    return phi, th, cmath.rect(s_k, TWO_PI * ((nu + th) / n_k))
+    """theta(phi) and rho at phi = nu*m_k/n_k mod 1 (reduced in exact integer
+    arithmetic; `_theta_rho`), and the probe b at sector nu of a ring with
+    degree n_k and probe radius s_k."""
+    th, rho = _theta_rho(((nu * m_k) % n_k) / n_k)
+    return th, rho, cmath.rect(s_k, TWO_PI * ((nu + th) / n_k))
 
 
 def probe_point(k: int, nu: int, p: ParamSeq) -> ProbePoint:
@@ -217,15 +228,9 @@ def probe_point(k: int, nu: int, p: ParamSeq) -> ProbePoint:
     if not 0 <= nu < n_k:
         raise ValueError(f"nu must be in [0, {n_k})")
     d = derive(p)
-    phi, th, b = _probe_b(nu, n_k, d.m[k - 1], d.s[k - 1])
+    th, rho, b = _probe_b(nu, n_k, d.m[k - 1], d.s[k - 1])
     a = cmath.rect(p.r[k - 1], (2 * nu + 1) * math.pi / n_k)
-    p_c = cmath.exp(complex(0.0, TWO_PI * phi)) * (
-        1.0 + E * cmath.exp(complex(0.0, TWO_PI * th))
-    )
-    if abs(p_c.imag) > 1e-10 * abs(p_c):
-        raise AssertionError(
-            f"probe value not real: k={k} nu={nu} p={p_c!r}")
-    return ProbePoint(theta=th, a=a, b=b, p=abs(p_c))
+    return ProbePoint(theta=th, a=a, b=b, p=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +315,19 @@ def integrate_exp_neg_h(z0: complex, z1: complex, p: ParamSeq,
 
 
 def eval_g(z: complex, p: ParamSeq, tol: float = 1e-10) -> complex:
-    """exp(-integral of e^{-h} from 0 to z along the straight segment)."""
+    """exp(-integral of e^{-h} from 0 to z along the straight segment).
+
+    Raises OverflowError naming g and z when the exponential leaves double
+    range (the integral itself raises `NonConvergence`).
+    """
     if z == 0:
         return complex(1.0)
-    return cmath.exp(-integrate_exp_neg_h(0.0, z, p, tol))
+    integral = integrate_exp_neg_h(0.0, z, p, tol)
+    try:
+        return cmath.exp(-integral)
+    except OverflowError:
+        raise OverflowError(f"g = exp(-integral) overflows at z = "
+                            f"({z.real!r}, {z.imag!r})") from None
 
 
 def newton_residual(z: complex, p: ParamSeq, step: float = 1e-5,

@@ -36,9 +36,6 @@ _TWO_PI_FRAC = Fraction(int(
     16), 1 << 1120)
 _HALF = Fraction(1, 2)
 
-# Largest logmod for which exp() still fits an IEEE double.
-CARTESIAN_LOGMOD_MAX = math.log(1.7976931348623157e308)  # ~709.78
-
 
 def wrap_angle(a: float) -> float:
     """Move an angle already within (-3pi, 3pi] into (-pi, pi]."""

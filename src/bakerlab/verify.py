@@ -162,22 +162,18 @@ def verify_2c(p: ParamSeq, k: int, max_probes: int = 4096) -> list[ProbeRatio]:
 
 
 def split_sector(n_k: int, t_k: float) -> tuple[int, float]:
-    """nu and delta with n_k t_k = nu + delta, delta in [0,1), computed with a
-    compensated product so large n_k does not wash out delta."""
-    hi, lo = _kernels.two_prod(float(n_k), t_k)
-    fl = math.floor(hi)
-    frac = (hi - fl) + lo
-    if frac >= 1.0:
-        fl += 1.0
-        frac -= 1.0
-    elif frac < 0.0:
-        fl -= 1.0
-        frac += 1.0
-    nu = int(fl)
-    if nu >= n_k:  # t_k -> 1 edge
-        nu = n_k - 1
-        frac = 1.0 - 2 ** -52
-    return nu, frac
+    """nu and delta with n_k t_k = nu + delta, in exact integer arithmetic.
+
+    With the double t_k = num/den, divmod(n_k num, den) gives nu and the
+    remainder exactly, and rem/den is delta correctly rounded, so no degree
+    washes delta out.  For 0 <= t_k < 1, nu <= n_k - 1.  delta lies in
+    [0, 1), except that a remainder within 2^-54 of 1 rounds to 1.0; that
+    takes den >= 2^54, so t_k < 1/2 (n_k = 2^30 + 1 at t_k = (2^30 - 1)
+    2^-60 is one case).
+    """
+    num, den = t_k.as_integer_ratio()
+    nu, rem = divmod(n_k * num, den)
+    return nu, rem / den
 
 
 def obstruction_chain(p: ParamSeq, k: int, t_k: float, c: complex,

@@ -119,7 +119,8 @@ def test_eval_g_depth_limit_is_config_error(capsys):
 
 
 @pytest.mark.parametrize("z, err_start", [
-    ("-701000,0", "error: math range error"),
+    ("-701000,0",
+     "error: g = exp(-integral) overflows at z = (-701000.0, 0.0)"),
     ("-705000,0", "error: integrand overflow"),
 ], ids=["exp", "panel"])
 def test_eval_g_overflow_is_config_error(capsys, tmp_path, z, err_start):

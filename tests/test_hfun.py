@@ -23,7 +23,7 @@ from bakerlab.hfun import (
     theta,
 )
 from bakerlab.logc import LogComplex, Zero
-from bakerlab.params import ParamSeq, make_toy
+from bakerlab.params import ParamSeq, derive, make_toy
 
 from _oracles import h_ref, integral_exp_neg_h_ref, theta_ref
 
@@ -219,11 +219,25 @@ class TestProbePoint:
                                      abs=1e-12)
 
     def test_probe_in_every_sector_is_real_positive_product(self):
-        # Im(e^{i m t}(1+e e^{i n t})) vanishes at b by construction
-        for k in (2, 3, 4):
-            for nu in range(DOUBLING.n[k - 1]):
-                pp = probe_point(k, nu, DOUBLING)
-                assert pp.p >= E - 1.0 - 1e-12
+        # p is the product e^{2 pi i phi}(1 + e e^{2 pi i theta}) at
+        # phi = nu m_k / n_k mod 1, real and positive by the choice of theta
+        sectors = [(name, k, nu) for name in ("doubling", "steep")
+                   for k in (2, 3, 4)
+                   for nu in range(make_toy(name).n[k - 1])]
+        rng = np.random.default_rng(15)
+        sectors += [("paper2", 2, int(nu)) for nu in
+                    rng.integers(0, make_toy("paper2").n[1], 64)]
+        for name, k, nu in sectors:
+            p = make_toy(name)
+            pp = probe_point(k, nu, p)
+            n_k, m_k = p.n[k - 1], derive(p).m[k - 1]
+            phi = (nu * m_k % n_k) / n_k
+            val = cmath.exp(2j * math.pi * phi) * (
+                1.0 + E * cmath.exp(2j * math.pi * pp.theta))
+            assert val.real > 0.0
+            assert abs(val.imag) <= 1e-12 * pp.p
+            assert abs(abs(val) - pp.p) <= 1e-15 * pp.p
+            assert pp.p >= E - 1.0 - 1e-12
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):

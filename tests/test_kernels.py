@@ -1,6 +1,7 @@
 """Batch kernels: accuracy against the 200-bit route, exact zero detection,
 and parity of the scalar core `_h_point` with the numpy vector path."""
 
+import cmath
 import hashlib
 import math
 import sys
@@ -22,7 +23,8 @@ DOUBLING = make_toy("doubling")
 FAR = _kernels.FAR_EDGE
 
 
-PROFILES = [make_toy(name) for name in ("doubling", "steep", "paper2")]
+PROFILE_NAMES = ("doubling", "steep", "paper2")
+PROFILES = [make_toy(name) for name in PROFILE_NAMES]
 
 
 def _loop_field(zx, zy, p):
@@ -54,6 +56,45 @@ def test_h_field_matches_high_precision(path):
         assert c == 0
         assert l == pytest.approx(float(mp.log(abs(ref))), abs=5e-14)
         assert a == pytest.approx(float(mp.arg(ref)), abs=5e-13)
+
+
+def _factor_condition(lmz, agz, r, n):
+    # |w / (1 + w)| for w = (z/r)^n: how much the factor's log amplifies a
+    # relative error of w; about 1 for a big w and large near a zero
+    lw = n * (lmz - math.log(r))
+    if lw > 0.0:
+        return 1.0 / abs(1.0 + cmath.rect(math.exp(-lw), -n * agz))
+    return math.exp(lw) / abs(1.0 + cmath.rect(math.exp(lw), n * agz))
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name in PROFILE_NAMES
+                                     for k in range(1, make_toy(name).K + 1)])
+def test_scalar_core_within_first_order_term_of_oracle(name, k):
+    # 150 points within 3 r_k/n_k of ring k.  The first-order error of h is
+    # the rounding of log|z| and arg z times each degree n_j and factor
+    # condition, plus a few roundings per factor:
+    # term = sum_j n_j cond_j (ulp(log|z|) + ulp(arg z)) + 8 K eps.
+    # Both errors stay within 4 term; at this seed the worst ratio to term
+    # is 0.51 on doubling, 0.65 on steep and 0.76 on paper2.
+    p = make_toy(name)
+    r_k, n_k = p.r[k - 1], p.n[k - 1]
+    rng = np.random.default_rng(3)
+    rad = r_k + 3.0 * r_k / n_k * rng.uniform(-1.0, 1.0, 150)
+    ang = rng.uniform(-math.pi, math.pi, 150)
+    factors = _kernels.prepared(p)
+    xs, ys = (rad * np.cos(ang)).tolist(), (rad * np.sin(ang)).tolist()
+    for x, y in zip(xs, ys):
+        is0, lm, ag = _kernels._h_point(x, y, factors)
+        ref = h_ref(complex(x, y), p.r, p.n)
+        lmz, agz = math.log(math.hypot(x, y)), math.atan2(y, x)
+        cond = sum(n * _factor_condition(lmz, agz, r, n)
+                   for r, n in zip(p.r, p.n))
+        term = (cond * (math.ulp(lmz) + math.ulp(agz))
+                + 8 * p.K * sys.float_info.epsilon)
+        d_ag = ag - float(mp.arg(ref))
+        assert not is0
+        assert abs(lm - float(mp.log(abs(ref)))) <= 4.0 * term
+        assert abs(math.remainder(d_ag, 2.0 * math.pi)) <= 4.0 * term
 
 
 @pytest.mark.parametrize("z", [2j, -2j, 4 * np.exp(1j * math.pi / 4),

@@ -76,3 +76,45 @@ def test_no_roadmap_item_numbers_in_source():
     modules = sorted((ROOT / "src" / "bakerlab").glob("*.py"))
     assert modules
     assert [c for p in modules for c in _item_citations(p)] == []
+
+
+def _assigned_constants(path):
+    # module-level names bound by an assignment (dunders are read by Python)
+    names = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            names += [n.id for n in ast.walk(target)
+                      if isinstance(n, ast.Name) and not n.id.startswith("__")]
+    return names
+
+
+def _read_names(path):
+    # every name a file reads: a loaded name, an attribute, a from-import,
+    # or an entry of __all__
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return read
+
+
+def test_no_unread_module_constants():
+    modules = sorted((ROOT / "src" / "bakerlab").glob("*.py"))
+    assert modules
+    read = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            read |= _read_names(path)
+    assert [f"{p.name}:{name}" for p in modules
+            for name in _assigned_constants(p) if name not in read] == []

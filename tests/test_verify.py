@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -138,6 +139,24 @@ class TestSplitSector:
     def test_integer_angle_hits_sector_start(self):
         nu, delta = split_sector(8, 0.25)
         assert (nu, delta) == (2, 0.0)
+
+    @pytest.mark.parametrize("n", [2, PAPER2.n[1], 2 ** 53 - 1])
+    def test_angle_below_one_stays_in_last_sector(self, n):
+        nu, delta = split_sector(n, 1.0 - 2.0 ** -53)
+        assert nu == n - 1
+        assert 0.0 <= delta < 1.0
+
+    def test_matches_exact_rational_product(self):
+        # nu is floor(n t) and delta its remainder correctly rounded, bitwise
+        degrees = sorted({n for p in (DOUBLING, STEEP, PAPER2) for n in p.n})
+        rng = np.random.default_rng(16)
+        ts = rng.random(400) * 2.0 ** -rng.integers(0, 40, 400)
+        for n in degrees:
+            for t in ts.tolist():
+                exact = Fraction(t) * n
+                nu, delta = split_sector(n, t)
+                assert nu == math.floor(exact)
+                assert delta.hex() == float(exact - nu).hex()
 
 
 class TestObstructionChain:
