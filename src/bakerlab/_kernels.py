@@ -29,7 +29,9 @@ regime that holds every point is evaluated on whole-array views, without
 gathers or scatters.
 
 The compensated angle multiplication is exact only for degrees
-``n_k < 2**53``; `ParamSeq` enforces that bound.
+``n_k < 2**53``; `ParamSeq` enforces that bound.  `_reduce_dd` is the
+package's one angle reduction: `logc.reduce_angle` and `logc.lc_pow_int`
+call it too, for angles below `ANGLE_MAX` = 2**53.
 """
 
 from __future__ import annotations
@@ -39,12 +41,16 @@ import math
 
 import numpy as np
 
-from .logc import TWO_PI, wrap_angle
 from .params import ParamSeq
 
+TWO_PI = 2.0 * math.pi
 _TWO_PI_LO = 2.4492935982947064e-16  # TWO_PI + _TWO_PI_LO is 2*pi to ~1e-32
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp split
 _EPS = 2.220446049250313e-16
+# angles are reduced only below this magnitude: a double at or past 2**53
+# has an ulp of 2 or more, and a computed Im h that large carries an
+# absolute error above 1 rad, so its angle is unknown
+ANGLE_MAX = 2.0 ** 53
 
 # |h| < ln 2 marks the near-zero-translation regime (e^h has modulus in [1/2, 2])
 LOG_LN2 = math.log(math.log(2.0))
@@ -96,7 +102,14 @@ def _split_prod(a, b, bh, bl):
     # Veltkamp/Dekker product (hi, lo) with hi + lo == a * b exactly, for a b
     # already split into (bh, bl), so a caller that multiplies one b by many
     # a splits it once; works elementwise on arrays too.  Kernel output bytes
-    # depend on the order of these operations.
+    # depend on the order of these operations.  For n*arg z the product is
+    # exact only for the rounded atan2 output, and it stays for three
+    # reasons: on 150 seed-3 points within 3 r_2/n_2 of paper2's ring 2 it
+    # halves the worst angle error against the mpmath oracle (3.7e-7
+    # against 7.5e-7 for a plain n*arg z); for power-of-two degrees
+    # (doubling, steep) n*arg z is exact, lo is 0 and the time is not
+    # measurably different; and without it the mid and big paper2 phase
+    # portraits that perfbench/digests.json pins change bytes.
     hi = a * b
     ah, al = _split(a)
     return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
@@ -110,6 +123,15 @@ _TWO_PI_SPLIT = _split(TWO_PI)
 # ---------------------------------------------------------------------------
 # scalar core
 # ---------------------------------------------------------------------------
+
+
+def wrap_angle(a: float) -> float:
+    """Move an angle already within (-3pi, 3pi] into (-pi, pi]."""
+    if a > math.pi:
+        a -= TWO_PI
+    elif a <= -math.pi:
+        a += TWO_PI
+    return a
 
 
 def _reduce_dd(hi: float, lo: float) -> float:

@@ -6,8 +6,11 @@ form.  Its error is the first-order rounding of log|z| and arg z times the
 degree: about 1e-6 in angle on paper2's ring 2 (n_2 = 2844000000).  The
 compensated n*arg z product is exact only for the rounded `atan2` output,
 not for z.  Results leave cartesian range as `logc.LogComplex`, so values
-like e^{h} with Re h ~ 10^16 stay representable.  The quadrature behind g
-batches integrand evaluations through `_kernels.h_field`.
+like e^{h} with Re h ~ 10^16 stay representable.  The angle of such an f is
+Im h mod 2 pi, reduced by the kernels' `_reduce_dd`; from |Im h| = 2^53
+(`_kernels.ANGLE_MAX`) on, a computed Im h is off by more than 1 rad, and
+the angle is None: unknown.  The quadrature behind g batches integrand
+evaluations through `_kernels.h_field`.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Union
 import numpy as np
 
 from . import _kernels
-from ._kernels import CARTESIAN_BAND
-from .logc import TWO_PI, ZERO, LogComplex, Zero
+from ._kernels import ANGLE_MAX, CARTESIAN_BAND, TWO_PI
+from .logc import ZERO, LogComplex, Zero
 from .params import ParamSeq, derive, require_ring_index
 
 E = math.e
@@ -143,8 +146,9 @@ def eval_f(z: complex, p: ParamSeq,
 
     A log-polar h has |h| > e^700: then e^h overflows (f is returned as
     LogComplex(inf, 0)) or vanishes (f = z), by the sign of cos(arg h).  For
-    a cartesian h, f is log-polar once Re h > `CARTESIAN_BAND`.  hres may
-    pass in a precomputed eval_h(z, p) result to avoid recomputing.
+    a cartesian h, f is log-polar once Re h > `CARTESIAN_BAND`, with angle
+    Im h mod 2 pi, or None (unknown) once |Im h| >= `ANGLE_MAX` = 2^53.
+    hres may pass in a precomputed eval_h(z, p) result to avoid recomputing.
     """
     z = complex(z)
     if hres is None:
@@ -155,7 +159,8 @@ def eval_f(z: complex, p: ParamSeq,
     elif isinstance(h, LogComplex):
         value = LogComplex(math.inf, 0.0) if math.cos(h.arg) >= 0.0 else z
     elif h.real > CARTESIAN_BAND:
-        value = LogComplex(h.real, h.imag)
+        value = LogComplex(h.real,
+                           h.imag if abs(h.imag) < ANGLE_MAX else None)
     else:
         value = z + cmath.exp(h)  # exp may underflow to 0, leaving f = z
     return EvalResult(value, hres.trunc_bound)
@@ -288,7 +293,7 @@ def _gk_panel(z0: complex, dz: complex, ua: float, ub: float,
 def integrate_exp_neg_h(z0: complex, z1: complex, p: ParamSeq,
                         tol: float = 1e-10) -> complex:
     """Integral of e^{-h} along the straight segment from z0 to z1."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     z0 = complex(z0)
     z1 = complex(z1)
@@ -338,7 +343,7 @@ def newton_residual(z: complex, p: ParamSeq, step: float = 1e-5,
     quadrature error cancels in the difference quotient instead of being
     amplified by 1/(2 step).
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError("step must be positive")
     z = complex(z)
     base = integrate_exp_neg_h(0.0, z - step, p, tol)

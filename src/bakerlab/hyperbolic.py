@@ -1,5 +1,5 @@
-"""Hyperbolic-metric toolkit on disks: density, distance, Koebe bounds, the
-omitted-point lower bound, and Schwarz contraction checks.
+"""Hyperbolic-metric toolkit on disks: distance, the omitted-point lower
+bound, and Schwarz contraction checks.
 
 Everything is closed-form.  General simply connected domains appear only
 through disks and Mobius images; the distance uses the unit-disk normalization
@@ -37,9 +37,6 @@ class DiskSpec:
         if not (self.r > 0.0 and math.isfinite(self.r)):
             raise ValueError("disk radius must be positive and finite")
 
-    def contains(self, z: complex) -> bool:
-        return abs(z - self.c) < self.r
-
 
 UNIT_DISK = DiskSpec(0j, 1.0)
 
@@ -62,13 +59,6 @@ def _normalize(z: complex, d: DiskSpec) -> complex:
     return w
 
 
-def disk_density(z: complex, d: DiskSpec) -> float:
-    """Density of the hyperbolic metric of d at z (2/(1-|z|^2) scaled)."""
-    w = _normalize(z, d)
-    t2 = w.real * w.real + w.imag * w.imag
-    return (2.0 / d.r) / (1.0 - t2)
-
-
 def disk_distance(a: complex, b: complex, d: DiskSpec = UNIT_DISK) -> float:
     """Hyperbolic distance between a and b in the disk d."""
     u = _normalize(a, d)
@@ -76,13 +66,6 @@ def disk_distance(a: complex, b: complex, d: DiskSpec = UNIT_DISK) -> float:
     t = abs(u - v) / abs(1.0 - u * v.conjugate())
     # log((1+t)/(1-t)) in a cancellation-free form
     return 2.0 * math.atanh(t)
-
-
-def koebe_density_bounds(dist_to_boundary: float) -> tuple[float, float]:
-    """Two-sided density estimate (1/(2d), 2/d) from the boundary distance."""
-    if not (dist_to_boundary > 0.0):
-        raise ValueError("distance to boundary must be positive")
-    return 0.5 / dist_to_boundary, 2.0 / dist_to_boundary
 
 
 def lemma1_lower_bound(a: complex, b: complex, c: complex) -> OmittedPointBound:

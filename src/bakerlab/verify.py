@@ -17,9 +17,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _kernels
+from ._kernels import TWO_PI
 from .hfun import E, _probe_b, eval_f, probe_point, ring_log_max
 from .hyperbolic import TWO_LOG3, DiskSpec, disk_distance
-from .logc import TWO_PI, LogComplex
+from .logc import LogComplex
 from .params import ParamSeq, derive, require_ring_index
 
 
@@ -167,13 +168,14 @@ def split_sector(n_k: int, t_k: float) -> tuple[int, float]:
     With the double t_k = num/den, divmod(n_k num, den) gives nu and the
     remainder exactly, and rem/den is delta correctly rounded, so no degree
     washes delta out.  For 0 <= t_k < 1, nu <= n_k - 1.  delta lies in
-    [0, 1), except that a remainder within 2^-54 of 1 rounds to 1.0; that
-    takes den >= 2^54, so t_k < 1/2 (n_k = 2^30 + 1 at t_k = (2^30 - 1)
-    2^-60 is one case).
+    [0, 1): a remainder within 2^-54 of 1, which rounds to 1.0, is the
+    start (nu + 1, 0.0) of the next sector.  That takes den >= 2^54, so
+    t_k < 1/2, and nu + 1 stays below n_k.
     """
     num, den = t_k.as_integer_ratio()
     nu, rem = divmod(n_k * num, den)
-    return nu, rem / den
+    delta = rem / den
+    return (nu + 1, 0.0) if delta == 1.0 else (nu, delta)
 
 
 def obstruction_chain(p: ParamSeq, k: int, t_k: float, c: complex,

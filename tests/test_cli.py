@@ -6,6 +6,7 @@ installed console script end to end.
 
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 
@@ -83,16 +84,31 @@ def test_eval_escaped_encodes_log_polar(capsys):
 
 
 def test_eval_f_reduces_a_huge_angle(capsys):
-    # z = rect(3e4, 0.2): Im h = -1.8e104, so arg e^h = Im h mod 2 pi needs
-    # 2 pi to far more than 250 bits
+    # z = rect(3e4, 0.2): Im h = -1.8e104, whose ulp is about 2^294, so
+    # arg e^h = Im h mod 2 pi is unknown: f and the orbit's tail say null
     z = complex(29401.997335237247, 5960.079923851837)
+    zarg = f"{z.real!r},{z.imag!r}"
+    assert abs(eval_h(z, make_toy("doubling")).value.imag) > 1e104
+    for argv in (["eval", "--what", "f"], ["orbit"]):
+        code = cli.main(argv + ["--profile", "doubling", "--z", zarg])
+        out = capsys.readouterr().out
+        assert code == 0 and "nan" not in out
+        last = json.loads(out.splitlines()[-1])
+        val = last["value"] if argv[0] == "eval" else last["tail"]
+        assert val["arg"] is None and val["logmod"] > 1e104
+
+
+def test_eval_f_reduces_an_angle_below_2_53(capsys):
+    # z = 20 + 0.5i: Re h = 2.6e9 > 700 puts f in log-polar form, and
+    # arg e^h = Im h mod 2 pi with Im h = 2.4e9
+    z = 20.0 + 0.5j
     code, lines, _ = run_cli(capsys, "eval", "--profile", "doubling",
-                             "--z", f"{z.real!r},{z.imag!r}", "--what", "f")
+                             "--z", "20,0.5", "--what", "f")
     assert code == 0
-    arg = lines[0]["value"]["arg"]
-    assert arg == pytest.approx(-2.0886935980246655, abs=1e-12)
     im_h = eval_h(z, make_toy("doubling")).value.imag
-    assert arg == pytest.approx(reduce_angle_ref(im_h), abs=1e-15)
+    assert math.pi < abs(im_h) < 2.0 ** 53
+    assert lines[0]["value"]["arg"] == pytest.approx(reduce_angle_ref(im_h),
+                                                     abs=5e-16)
 
 
 def test_eval_g(capsys):
@@ -265,7 +281,9 @@ def test_verify_2b_2c_with_csv(capsys, tmp_path, check, keys, header):
       "--K-bound", "0"], "K_bound must be positive"),
     (["orbit", "--profile", "doubling", "--z", "0,0", "--steps", "0"],
      "max_steps must be >= 1"),
-], ids=["obstruct-t", "obstruct-K-bound", "orbit-steps"])
+    (["eval", "--profile", "doubling", "--z", "1,0", "--what", "g",
+      "--tol", "nan"], "tol must be positive"),
+], ids=["obstruct-t", "obstruct-K-bound", "orbit-steps", "eval-tol-nan"])
 def test_out_of_range_options_are_config_errors(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, [], f"error: {err}\n")
 

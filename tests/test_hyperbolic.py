@@ -14,9 +14,7 @@ from bakerlab.hyperbolic import (
     TWO_LOG3,
     UNIT_DISK,
     DiskSpec,
-    disk_density,
     disk_distance,
-    koebe_density_bounds,
     lemma1_lower_bound,
     run_check,
     sample_disk,
@@ -48,33 +46,11 @@ def test_distance_scales_to_general_disks():
         disk_distance(0.0, 0.5), abs=1e-13)
 
 
-def test_density_at_center_and_edge():
-    assert disk_density(0.0, UNIT_DISK) == pytest.approx(2.0)
-    assert disk_density(0.9, UNIT_DISK) == pytest.approx(2.0 / 0.19, rel=1e-12)
-    big = DiskSpec(0j, 4.0)
-    assert disk_density(0.0, big) == pytest.approx(0.5)
-
-
 def test_points_outside_domain_rejected():
     with pytest.raises(PointOutsideDomain):
         disk_distance(0.0, 1.5)
     with pytest.raises(PointOutsideDomain):
-        disk_density(2.0, UNIT_DISK)
-
-
-def test_koebe_density_sandwich():
-    # simply connected domain, d = boundary distance: density in
-    # [1/(2d), 2/d]; the disk's own density must land inside
-    for x in (0.0, 0.3, 0.8):
-        d = 1.0 - abs(x)
-        lo, hi = koebe_density_bounds(d)
-        assert lo <= disk_density(x, UNIT_DISK) <= hi
-        assert lo == pytest.approx(0.5 / d)
-        assert hi == pytest.approx(2.0 / d)
-    # upper half-plane density is 1/Im z with d = Im z: also inside
-    for d in (0.1, 1.0, 7.5):
-        lo, hi = koebe_density_bounds(d)
-        assert lo <= 1.0 / d <= hi
+        disk_distance(3.1 + 1.0j, 1.0 + 1.0j, DiskSpec(1.0 + 1.0j, 2.0))
 
 
 def test_omitted_point_lower_bound_formula_and_cap():
@@ -133,13 +109,6 @@ def test_schwarz_rotation_is_isometry():
 def test_schwarz_unknown_map():
     with pytest.raises(ValueError):
         schwarz_check("cubic", 0.1, 0.2)
-
-
-def test_disk_contains():
-    d = DiskSpec(1.0 + 1.0j, 2.0)
-    assert d.contains(1.0 + 1.0j)
-    assert d.contains(2.9 + 1.0j)
-    assert not d.contains(3.1 + 1.0j)
 
 
 def test_sample_disk_is_seeded_and_inside_radius():

@@ -4,17 +4,12 @@ the 1 + w step in the arithmetic core."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bakerlab import _kernels
-from bakerlab.logc import (
-    LogComplex,
-    ZERO,
-    Zero,
-    lc_pow_int,
-    reduce_angle,
-    wrap_angle,
-)
+from bakerlab._kernels import wrap_angle
+from bakerlab.logc import LogComplex, ZERO, Zero, lc_pow_int, reduce_angle
 from bakerlab.params import ParamSeq
 
 from _oracles import reduce_angle_ref
@@ -43,21 +38,45 @@ def test_wrap_angle_half_open_interval():
 
 
 @pytest.mark.parametrize("x", [
-    0.0, 1.0, -7.25, 6.4, 1e3, -1e6, 1e12, 12345678901234.5, -9.87e15,
-    1e70, 1e100, 1e300, -1.7e308,
+    0.0, 1.0, -7.25, 6.4, 1e3, -1e6, 1e12, 12345678901234.5,
+    2.0 ** 53 - 1.0, -(2.0 ** 53 - 1.0),
 ])
 def test_reduce_angle_matches_high_precision(x):
     got = reduce_angle(x)
     ref = reduce_angle_ref(x)
     assert -math.pi < got <= math.pi
-    # exact rational reduction: at most one rounding against the 200-bit route
+    # double-double reduction: within one rounding of the 200-bit route
     assert got == pytest.approx(ref, abs=5e-16)
+
+
+def test_reduce_angle_sweep_below_bound():
+    # log-uniform |x| over 2^-4 .. 2^53, both signs
+    rng = np.random.default_rng(9)
+    xs = (np.exp2(rng.uniform(-4.0, 53.0, 1000))
+          * rng.choice([-1.0, 1.0], 1000))
+    for x in xs[np.abs(xs) < 2.0 ** 53].tolist():
+        got = reduce_angle(x)
+        assert -math.pi < got <= math.pi
+        assert got == pytest.approx(reduce_angle_ref(x), abs=5e-16), x
+
+
+@pytest.mark.parametrize("x", [
+    2.0 ** 53, -2.0 ** 53, -9.87e15, 1e70, 1e100, 1e300, -1.7e308,
+    math.inf, -math.inf, math.nan,
+])
+def test_reduce_angle_rejects_unknown_angles(x):
+    # from 2^53 on a double's ulp is 2 or more: its angle carries nothing
+    with pytest.raises(ValueError):
+        reduce_angle(x)
 
 
 def test_logcomplex_normalizes_angle_on_construction():
     v = LogComplex(1.0, 100.0)
     assert -math.pi < v.arg <= math.pi
     assert v.arg == reduce_angle(100.0)
+    # an unknown angle stays unknown, here and through a power
+    assert LogComplex(1.0, None).arg is None
+    assert lc_pow_int(LogComplex(1.0, None), 3) == LogComplex(3.0, None)
 
 
 def test_zero_tag_roundtrip_and_absorption():
@@ -120,7 +139,7 @@ def test_pow_int_small_cases():
 
 def test_pow_int_huge_exponent_angle_is_exact():
     # n ~ 3e9: double multiplication n*arg would carry ~1e-7 absolute error;
-    # the exact rational route must stay at a few ulps of the true residue
+    # the compensated product must stay at a few ulps of the true residue
     import mpmath as mp
 
     n = 2_844_000_000
@@ -139,6 +158,8 @@ def test_pow_int_rejects_bad_exponents():
     v = LogComplex(0.0, 0.5)
     with pytest.raises(ValueError):
         lc_pow_int(v, -1)
+    with pytest.raises(ValueError):
+        lc_pow_int(v, 1 << 53)
     with pytest.raises(ValueError):
         lc_pow_int(v, 1 << 63)
     with pytest.raises(ValueError):

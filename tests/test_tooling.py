@@ -40,11 +40,7 @@ def _unused_imports(path):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__"
-                        for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
+    used |= _all_entries(tree)
     return [f"{path.name}:{line} {name}"
             for name, line in sorted(imported.items()) if name not in used]
 
@@ -91,30 +87,60 @@ def _assigned_constants(path):
     return names
 
 
-def _read_names(path):
-    # every name a file reads: a loaded name, an attribute, a from-import,
-    # or an entry of __all__
+def _all_entries(tree):
+    # the names listed in a module's __all__
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def _read_names(tree, strings=False):
+    # every name a module reads: a loaded name, an attribute or a
+    # from-import, and with strings=True every string literal
     read = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read |= {alias.name for alias in node.names}
-        elif (isinstance(node, ast.Assign)
-              and any(getattr(t, "id", None) == "__all__"
-                      for t in node.targets)):
-            read |= set(ast.literal_eval(node.value))
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            read.add(node.value)
     return read
 
 
+def _parsed(top):
+    return [ast.parse(path.read_text(), str(path))
+            for path in sorted((ROOT / top).rglob("*.py"))]
+
+
 def test_no_unread_module_constants():
+    # an entry of __all__ counts as a read
     modules = sorted((ROOT / "src" / "bakerlab").glob("*.py"))
     assert modules
     read = set()
     for top in ("src", "tests", "perfbench"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            read |= _read_names(path)
+        for tree in _parsed(top):
+            read |= _read_names(tree) | _all_entries(tree)
     assert [f"{p.name}:{name}" for p in modules
             for name in _assigned_constants(p) if name not in read] == []
+
+
+def test_no_unread_public_functions():
+    # a public module-level function must be read by the package or the
+    # benchmark, whose tracer names its targets as strings; a test alone,
+    # or an entry of __all__, does not keep it
+    modules = sorted((ROOT / "src" / "bakerlab").glob("*.py"))
+    assert modules
+    read = set()
+    for tree in _parsed("src"):
+        read |= _read_names(tree)
+    for tree in _parsed("perfbench"):
+        read |= _read_names(tree, strings=True)
+    assert [f"{p.name}:{node.name}" for p in modules
+            for node in ast.parse(p.read_text(), str(p)).body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and node.name not in read] == []

@@ -146,6 +146,16 @@ class TestSplitSector:
         assert nu == n - 1
         assert 0.0 <= delta < 1.0
 
+    @pytest.mark.parametrize("n, t", [
+        (2 ** 30 + 1, (2 ** 30 - 1) / 2 ** 60),
+        (6004799503160661, 3 / 2 ** 54),
+    ])
+    def test_remainder_rounding_to_one_starts_next_sector(self, n, t):
+        # the exact remainder is within 2^-54 of 1, so rem/den rounds to 1.0
+        exact = Fraction(t) * n
+        assert math.floor(exact) == 0 and float(exact) == 1.0
+        assert split_sector(n, t) == (1, 0.0)
+
     def test_matches_exact_rational_product(self):
         # nu is floor(n t) and delta its remainder correctly rounded, bitwise
         degrees = sorted({n for p in (DOUBLING, STEEP, PAPER2) for n in p.n})
