@@ -18,6 +18,18 @@ e^-50, so the factor cannot vanish; with ``v = e^{-|log|w||}`` one
 a small w, and since ``1 + w = w (1 + 1/w)``, ``log(1 + w)`` is
 ``log|w| + Re L + i (arg w - Im L)`` for a big one.
 
+A far factor with ``|log|w|| > DEAD_EDGE`` is dead: ``v`` underflows to
+exactly 0, so ``L`` is ``+-0.0 + i (+-0.0)``.  A dead factor with a small
+w therefore adds +-0.0 to both accumulators, and one with a big w adds
+``(log|w|, arg w)`` up to the sign of a zero.  The accumulators start at
++0.0 and never hold -0.0 (in round-to-nearest a sum is -0.0 only when
+both terms are), and ``x + (+-0.0)`` is ``x`` for every other x, so
+skipping a small dead factor, and adding ``(log|w|, arg w)`` for a big
+one, leaves every output bit as the full evaluation would.  A small dead
+factor needs no angle reduction either.  The scalar core skips per point;
+the vector path skips a factor in a batch only when it is dead on every
+point, so batches where no factor is wholly far pay no extra test.
+
 `_classify_numpy` writes the grid's encoding as its step loop decides it,
 into the two per-point arrays a grid stores: ``status``, two flags
 (escaped = `STATUS_ESCAPED` = 1, near-zero translation = `STATUS_NEAR_ZERO`
@@ -64,6 +76,9 @@ STATUS_ESCAPED_AFTER_NEAR_ZERO = STATUS_ESCAPED | STATUS_NEAR_ZERO
 # a factor 1 + w with |log|w|| >= FAR_EDGE is in the far field: |w| or 1/|w|
 # is at most e^-50, so 1 + w cannot vanish there
 FAR_EDGE = 50.0
+# a far factor with |log|w|| > DEAD_EDGE is dead: e^-|log|w|| underflows to
+# exactly 0 in libm and in numpy, so the factor is exactly 1 or exactly w
+DEAD_EDGE = 760.0
 
 
 def factor_snap_eps(n: int) -> float:
@@ -152,10 +167,14 @@ def _h_point(zx, zy, factors):
     acc_ag = 0.0
     for n, logr, eps in factors:
         wlm = n * (lmz - logr)
+        if wlm < -DEAD_EDGE:
+            continue  # the factor is exactly 1
         # compensated n*arg, then mod 2*pi
         hi, lo = _split_prod(n, agz, agh, agl)
         wag = _reduce_dd(hi, lo)
-        if abs(wlm) >= FAR_EDGE:
+        if wlm > DEAD_EDGE:
+            flm, fag = wlm, wag  # the factor is exactly w
+        elif abs(wlm) >= FAR_EDGE:
             v = math.exp(-abs(wlm))
             flm = 0.5 * math.log1p(v * (2.0 * math.cos(wag) + v))
             fag = math.atan2(v * math.sin(wag), 1.0 + v * math.cos(wag))
@@ -195,13 +214,16 @@ def _reduce_np(x, lo=0.0):
     return r
 
 
+_ALL = slice(None)
+
+
 def _select(mask):
-    # the points of a regime: None if there are none, a slice if it holds
+    # the points of a regime: None if there are none, `_ALL` if it holds
     # all of them (views, no gathers or scatters), else their indices
     count = np.count_nonzero(mask)
     if count == 0:
         return None
-    return slice(None) if count == mask.size else np.flatnonzero(mask)
+    return _ALL if count == mask.size else np.flatnonzero(mask)
 
 
 def _h_field_numpy(zx, zy, factors):
@@ -219,13 +241,25 @@ def _h_field_numpy(zx, zy, factors):
         zero = np.zeros(zx.shape, dtype=bool)
         for n, logr, eps in factors:
             wlm = n * (lmz - logr)
+            awlm = np.abs(wlm)
+            far = awlm >= FAR_EDGE
+            sel = _select(far)
+            # dead on every point: the min() pass runs only for a factor far
+            # on every point, and a factor dead on some points only is
+            # evaluated in full
+            if sel is _ALL and awlm.min() > DEAD_EDGE:
+                small = wlm < 0.0
+                if small.all():
+                    continue  # the factor is exactly 1
+                hi, lo = _split_prod(n, agz, agh, agl)
+                acc_lm += np.where(small, 0.0, wlm)
+                acc_ag += np.where(small, 0.0, _reduce_np(hi, lo))
+                _wrap_np(acc_ag)
+                continue
             hi, lo = _split_prod(n, agz, agh, agl)
             wag = _reduce_np(hi, lo)
             cw = np.cos(wag)
             sw = np.sin(wag)
-            awlm = np.abs(wlm)
-            far = awlm >= FAR_EDGE
-            sel = _select(far)
             if sel is not None:
                 v = np.exp(-awlm[sel])
                 c = cw[sel]

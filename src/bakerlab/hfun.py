@@ -290,11 +290,15 @@ def _gk_panel(z0: complex, dz: complex, ua: float, ub: float,
     return complex(kron), abs(kron - gauss)
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+
 def integrate_exp_neg_h(z0: complex, z1: complex, p: ParamSeq,
                         tol: float = 1e-10) -> complex:
     """Integral of e^{-h} along the straight segment from z0 to z1."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     z0 = complex(z0)
     z1 = complex(z1)
     dz = z1 - z0
@@ -325,6 +329,7 @@ def eval_g(z: complex, p: ParamSeq, tol: float = 1e-10) -> complex:
     Raises OverflowError naming g and z when the exponential leaves double
     range (the integral itself raises `NonConvergence`).
     """
+    _check_tol(tol)
     if z == 0:
         return complex(1.0)
     integral = integrate_exp_neg_h(0.0, z, p, tol)

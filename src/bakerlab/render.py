@@ -8,6 +8,8 @@ rectangles symmetric about the real axis are mirror-symmetric byte for byte
 and shaded in chunks of at most `PHASE_CHUNK` points, each written into one
 preallocated RGB array, so the kernel's temporaries are bounded by the
 chunk, not the image; per-pixel results do not depend on the chunking.
+The shader computes one colour channel at a time from per-channel hue
+tables, so its temporaries are chunk-sized vectors, not ``(N, 3)`` arrays.
 """
 
 from __future__ import annotations
@@ -61,12 +63,15 @@ def render_escape(grid: Grid, palette: str = "ember") -> bytes:
     return ppm_bytes(pixels)
 
 
-# value-scaled HSV with full saturation: in hue sector s each channel is
-# base[s] + slope[s] * frac, one of 0, 1, frac and 1 - frac
-_HUE_BASE = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
-                      [0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
-_HUE_SLOPE = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                       [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+# value-scaled HSV with full saturation: in hue sector s each channel c is
+# base[c][s] + slope[c][s] * frac, one of 0, 1, frac and 1 - frac; one row
+# per channel, so a channel gathers from a contiguous table of six
+_HUE_BASE = np.array([[1.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+                      [0.0, 1.0, 1.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
+_HUE_SLOPE = np.array([[0.0, -1.0, 0.0, 0.0, 1.0, 0.0],
+                       [1.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+                       [0.0, 0.0, 1.0, 0.0, 0.0, -1.0]])
 
 
 def phase_shade(logmod: np.ndarray, arg: np.ndarray) -> np.ndarray:
@@ -77,10 +82,15 @@ def phase_shade(logmod: np.ndarray, arg: np.ndarray) -> np.ndarray:
     h6 = np.clip(hue, 0.0, 1.0) * 5.0  # 5 sectors, red back to magenta-ish
     sector = np.floor(h6).astype(np.int64)
     frac = h6 - sector
-    # each channel base + slope * frac and v lie in [0, 1], so the rounded
-    # values are already in [0, 255]
-    rgb = _HUE_BASE[sector] + _HUE_SLOPE[sector] * frac[..., None]
-    return np.rint(rgb * v[..., None] * 255.0).astype(np.uint8)
+    rgb = np.empty(v.shape + (3,), dtype=np.uint8)
+    for c in range(3):
+        # the channel and v lie in [0, 1], so the rounded values are
+        # already in [0, 255]
+        ch = _HUE_BASE[c].take(sector) + _HUE_SLOPE[c].take(sector) * frac
+        ch *= v
+        ch *= 255.0
+        rgb[..., c] = np.rint(ch, out=ch)
+    return rgb
 
 
 # points per h_field call in a phase portrait: 64 KiB per float64

@@ -283,7 +283,13 @@ def test_verify_2b_2c_with_csv(capsys, tmp_path, check, keys, header):
      "max_steps must be >= 1"),
     (["eval", "--profile", "doubling", "--z", "1,0", "--what", "g",
       "--tol", "nan"], "tol must be positive"),
-], ids=["obstruct-t", "obstruct-K-bound", "orbit-steps", "eval-tol-nan"])
+    # g(0) = 1 needs no quadrature, but its tolerance is checked all the same
+    (["eval", "--profile", "doubling", "--z", "0,0", "--what", "g",
+      "--tol", "nan"], "tol must be positive"),
+    (["eval", "--profile", "doubling", "--z", "0,0", "--what", "g",
+      "--tol=-1"], "tol must be positive"),
+], ids=["obstruct-t", "obstruct-K-bound", "orbit-steps", "eval-tol-nan",
+        "eval-tol-nan-at-0", "eval-tol-negative-at-0"])
 def test_out_of_range_options_are_config_errors(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, [], f"error: {err}\n")
 

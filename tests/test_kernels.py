@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bakerlab import _kernels
-from bakerlab.dynamics import classify_grid, iterate
+from bakerlab.dynamics import axis_coords, classify_grid, iterate
 from bakerlab.hfun import eval_h
 from bakerlab.logc import ZERO
 from bakerlab.params import ParamSeq, make_toy
@@ -386,3 +386,76 @@ def test_single_regime_field_bytes_are_pinned(case):
     code, lm, ag = _kernels._h_field_numpy(zx, zy, factors)
     assert code.sum() == (2 if regime == "mid" else 0)
     assert _sha(code, lm, ag) == SINGLE_REGIME_DIGESTS[case]
+
+
+# ---------------------------------------------------------------------------
+# dead factors: |log|w|| > DEAD_EDGE, where e^-|log|w|| underflows to 0
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the numpy path on rects where paper2's second factor is dead
+# on every pixel, plus one (canonical doubling) where no factor is dead
+# anywhere.  Recorded before dead factors were skipped.
+DEAD_FACTOR_DIGESTS = {
+    "paper2-dead-small":
+        "6d0b3324f210a89292a954f478f22030ac9d5d1ee09659472a8a7a0641d7f6a6",
+    "paper2-dead-big":
+        "76d0b707ad4e994054e35d48ace0f9c5dc9082f0540707954ba2013e7be49bbb",
+    "paper2-dead-mixed":
+        "ae2e6c55bd4422fefef00cc259c6e35886fdde4a07a03dc4fd75ff632a2bc141",
+    "doubling-none":
+        "e2acbc8045e0bb0367745d5b9b8e63bff4c173ee8561f2ca17ac23ea4b085bc7",
+}
+_P2_SMALL = 2.0 * math.exp(-FAR) * 0.2  # inside paper2's small-regime edge
+_P2_BIG = 2.0 * math.exp(FAR) * 3.0  # outside its big-regime edge
+DEAD_FACTOR_CASES = {
+    # 63 samples a side put one on the origin, where log|z| is -inf
+    "paper2-dead-small": ("paper2", (-_P2_SMALL, -_P2_SMALL,
+                                     _P2_SMALL, _P2_SMALL), 63),
+    "paper2-dead-big": ("paper2", (0.75 * _P2_BIG, -0.25 * _P2_BIG,
+                                   1.25 * _P2_BIG, 0.25 * _P2_BIG), 64),
+    # straddles ring 2 (|z| = 4) with no pixel inside its dead-free annulus
+    "paper2-dead-mixed": ("paper2", (-4.6, -5.3, 5.4, 4.7), 64),
+    "doubling-none": ("doubling", (-8.0, -8.0, 8.0, 8.0), 64),
+}
+
+
+def _dead_factor_points(case):
+    profile, (x0, y0, x1, y1), side = DEAD_FACTOR_CASES[case]
+    xs, ys = axis_coords(x0, x1, side), axis_coords(y0, y1, side)
+    return make_toy(profile), np.tile(xs, side), np.repeat(ys, side)
+
+
+@pytest.mark.parametrize("case", sorted(DEAD_FACTOR_CASES))
+def test_dead_factor_field_bytes_are_pinned(case):
+    p, zx, zy = _dead_factor_points(case)
+    factors = _kernels.prepared(p)
+    with np.errstate(divide="ignore"):
+        lmz = np.log(np.hypot(zx, zy))  # -inf at the origin
+    wlm = [n * (lmz - logr) for n, logr, _ in factors]
+    dead = _kernels.DEAD_EDGE
+    if case == "doubling-none":
+        assert all(np.abs(w).max() <= dead for w in wlm)
+    else:
+        last = wlm[-1]
+        assert (np.abs(last) > dead).all()
+        signs = {"small": [True], "big": [False], "mixed": [False, True]}
+        assert np.unique(last < 0.0).tolist() == signs[case.split("-")[-1]]
+    code, lm, ag = _kernels._h_field_numpy(zx, zy, factors)
+    assert _sha(code, lm, ag) == DEAD_FACTOR_DIGESTS[case]
+    _assert_paths_agree(zx, zy, p)
+
+
+def test_dead_edge_underflows_exp():
+    # a dead factor's e^-|log|w|| is exactly 0 in numpy and in libm, so
+    # its log-polar step adds exactly +-0.0 or (log|w|, arg w)
+    assert np.exp(-_kernels.DEAD_EDGE) == 0.0
+    assert math.exp(-_kernels.DEAD_EDGE) == 0.0
+
+
+def test_dead_small_factor_skips_its_reduction(monkeypatch):
+    # paper2's second factor is dead and small on every pixel of the chunk,
+    # so only the first factor's n*arg z is reduced
+    seen = _count_points(monkeypatch, "_reduce_np")
+    p, zx, zy = _dead_factor_points("paper2-dead-small")
+    _kernels._h_field_numpy(zx, zy, _kernels.prepared(p))
+    assert seen == [zx.size]

@@ -174,3 +174,31 @@ def test_phase_bytes_are_pinned(case):
     rect, nx, ny, profile = PHASE_CASES[case]
     ppm = render_phase(rect, nx, ny, make_toy(profile), threads=1)
     assert hashlib.sha256(ppm).hexdigest() == PHASE_DIGESTS[case]
+
+
+# SHA-256 of phase_shade on a synthetic field, recorded before the shader
+# was computed one channel at a time.  The field covers hue sectors 0 to 4,
+# sector 5 (|arg| == pi exactly, at +-pi), the sector edges, and logmod
+# -inf (a zero), +inf and 0.
+SHADE_DIGEST = (
+    "eb40c62a391e49f3782d3dbb0d2c90ca05a711ddb30f9835df6ea75ff31828d5")
+
+
+def _shade_field():
+    rng = np.random.default_rng(5)
+    edges = np.pi * np.arange(6) / 5.0
+    arg = np.concatenate([rng.uniform(-np.pi, np.pi, 2000), edges, -edges])
+    logmod = rng.normal(0.0, 60.0, arg.size)
+    logmod[::7] = -np.inf
+    logmod[1::7] = np.inf
+    logmod[2::7] = 0.0
+    return logmod, arg
+
+
+def test_phase_shade_bytes_are_pinned():
+    logmod, arg = _shade_field()
+    sector = np.floor(np.abs(arg) / np.pi * 5.0)
+    assert np.unique(sector).tolist() == [0, 1, 2, 3, 4, 5]
+    px = phase_shade(logmod, arg)
+    assert (px.shape, px.dtype) == ((arg.size, 3), np.uint8)
+    assert hashlib.sha256(px.tobytes()).hexdigest() == SHADE_DIGEST
