@@ -33,7 +33,15 @@ point, so batches where no factor is wholly far pay no extra test.
 `_classify_numpy` writes the grid's encoding as its step loop decides it,
 into the two per-point arrays a grid stores: ``status``, two flags
 (escaped = `STATUS_ESCAPED` = 1, near-zero translation = `STATUS_NEAR_ZERO`
-= 2), and ``step``.
+= 2), and ``step``.  It stops stepping an orbit whose status can no longer
+change, so the orbit keeps its flags: 0 with step 0, or 2 with the
+near-zero step.  An orbit is frozen when a step leaves it bitwise where it
+was, so every later step repeats that one.  An orbit is settled when
+`_settled` proves, from a disk bound on h, that its remaining steps stay
+inside a disk where none escapes, none sets the near-zero flag and no
+factor snaps to its zero; wherever Re h << 0 an orbit creeps by about
+e^{Re h} a step and is settled long before its budget runs out.  Both
+exits are exact: every byte is what the full step loop would write.
 
 `_h_field_numpy` splits ``arg z`` once per call for every factor's
 compensated product, and evaluates each regime on its own points; a
@@ -309,6 +317,127 @@ def h_cartesian(lm, ag):
     return re_h, np.where(big, 0.0, mod * np.sin(ag))
 
 
+# the disk of `_settled` has radius RHO_PER_STEP * m * e^{Re h}: each
+# floating-point step moves by at most 2 sqrt(2) (1 + 2 eps) e^{Re h} < 3
+# e^{Re h}, and Re h stays below Re h(z_s) + 1 on the disk
+RHO_PER_STEP = 3.0 * math.e
+# the multiple of the first-order rounding terms that `_settled` charges
+ROUNDING_CHARGE = 100.0
+
+
+def _factor_columns(factors):
+    # the factor table as (K, 1) columns n, log r and snap_eps, so that
+    # `_settled` works on all factors at once in (K, points) arrays
+    return tuple(np.array(col)[:, None] for col in zip(*factors))
+
+
+def _settled(x, y, hlm, re_h, flagged, m, columns, esc2):
+    """Which orbits at ``z_s = x + i y`` provably keep their (status, step)
+    through the ``m`` steps that start at z_s.
+
+    ``hlm`` and ``re_h`` are the kernel's log|h| and Re h at z_s, ``flagged``
+    marks orbits whose near-zero flag is set, ``columns`` is
+    `_factor_columns` of the factor table and ``esc2`` the squared escape
+    radius R^2.  A certified orbit keeps its status, 0 or 2, and its step,
+    like a frozen one.
+
+    The disk.  Let ``L = Re h(z_s) + 1`` and let D be the closed disk of
+    radius ``rho = 3 e m e^{Re h(z_s)} = 3 m e^L`` about z_s.  If the
+    computed Re h is at most L on D, each computed step from a point of D is
+    shorter than ``3 e^L``: per coordinate ``fl(x + d)`` is within ``|d|``
+    of ``x + d``, so within ``2 |d|`` of x, and ``|d| <= (1 + eps)^2 e^L``
+    while ``Re h >= -700`` keeps exp a normal double; ``2 sqrt(2) (1 +
+    eps)^2 < 3``.  By induction the m steps from z_s stay in D.  So the
+    status is final once, on all of D, no step escapes and no near-zero
+    flag or snapped zero appears.
+
+    The bound on D.  With ``N = sum n_k`` and ``delta = rho/|z_s|``, the
+    first condition is ``N delta <= 1/2``; it needs no factor, and the
+    caller screens every orbit with it.  For w in D, ``|w/z_s - 1| <=
+    delta``, so ``w_k = (w/r_k)^{n_k}`` is within ``|u_k| ((1 + delta)^{n_k}
+    - 1)`` of ``u_k = w_k(z_s)``, and ``(1 + w_k)/(1 + u_k) = 1 + t_k`` with
+    ``|t_k| <= a_k = cond_k expm1(n_k delta)``, where ``cond_k = |u_k|/|1 +
+    u_k|`` is the factor's condition weight.  For ``a_k < 1``, ``|log(1 +
+    t)| <= -log(1 - |t|)``, so ``|log h(w) - log h(z_s)| <= Lambda = sum_k
+    -log1p(-a_k)`` (imaginary part mod 2 pi).  ``cond_k`` is bounded with
+    ``|u_k| <= exp(l_k + e_k)`` and ``|1 + u_k| >= g_k = |1 + e^{l_k + i
+    theta_k}| - (1 + e^{l_k + e_k}) expm1(2 e_k)``, from ``l_k = n_k
+    (log|z_s| - log r_k)`` and ``theta_k = n_k arg z_s`` as computed.  Each
+    is off by less than ``3 n_k eps (|log|z_s|| + |log r_k| + 1 + pi)``;
+    ``e_k = 100 n_k eps (|log|z_s|| + |log r_k| + 1 + pi)`` charges that
+    more than 30 times, and the ``expm1(2 e_k)`` in g_k also covers the few
+    ulps of the cartesian sum.
+
+    Rounding of h.  The error of the computed log|h| and arg h at a point w
+    is first order in the rounding of log|w| and arg w: ``T(w) = sum_k n_k
+    cond_k(w) (ulp(log|w|) + ulp(arg w)) + 8 K eps``, the term of
+    ``tests/test_kernels.py::test_scalar_core_within_first_order_term_of_oracle``.
+    That test holds the scalar core within 4 T of a 200-bit oracle on every
+    built-in ring (worst 1.1 T over 40 seeds), and the vector path evaluates
+    the same formulas.  On D, ``cond_k(w) <= cond_k e^{n_k delta}/(1 -
+    a_k)`` and ``ulp(log|w|) + ulp(arg w) <= eps (|log|z_s|| + 1 + pi)`` (as
+    ``delta <= 1/2``), which bounds T(w) by T'.  Charging 100 T' to the
+    computed log|h| and arg h, at z_s and at w, gives ``|log h_c(w) - log
+    h_c(z_s)| <= Lambda* = Lambda + 300 T'`` (``2 sqrt(2) 100 < 300``), so
+    ``Re h_c(w) <= Re h_c(z_s) + |h_c(z_s)| expm1(Lambda*)``.
+
+    The orbit is certified when, besides ``N delta <= 1/2``:
+    - ``|h(z_s)| expm1(Lambda*) <= 1/2``: Re h stays below L.  The other
+      half of the margin 1 covers the rounding of ``Re h = |h| cos(arg h)``
+      (4 eps |h|, while ``Lambda* >= 2400 eps``) and of this test;
+    - ``-700 <= Re h(z_s)``, ``L <= 700`` and ``log|h(z_s)| + 2 Lambda* <=
+      700``: the step is a normal double, no step escapes through Re h and h
+      stays cartesian on D;
+    - ``(|z_s| + rho)^2 (1 + 2^-30)^2 < R^2``: no point of D passes the
+      escape radius.  The margin is far above the few ulps by which
+      ``|z_s|``, rho, R^2 and a later ``x*x + y*y`` are rounded;
+    - ``flagged`` or ``log|h(z_s)| - 2 Lambda* > log ln 2``: no new
+      near-zero flag;
+    - ``g_k (1 - a_k) > 2 expm1(2 (snap_eps_k + e_k))`` for every factor,
+      which also needs ``g_k > 0`` and ``a_k < 1``: on D, ``|1 + w_k| >=
+      g_k (1 - a_k)``, while a factor the kernel snaps has log-modulus and
+      angle within ``snap_eps_k + e_k`` of those of -1, so ``|1 + w_k| <=
+      expm1(sqrt(2) (snap_eps_k + e_k))``.
+
+    Every quantity here is evaluated in floating point with a few roundings,
+    far inside the factors of 2 above, and a NaN fails its comparison.  No
+    margin is tuned: rho's 3 is the first integer above ``2 sqrt(2)``; the
+    1 in L admits the largest |h|, since Lambda grows like e^mu with the
+    margin mu and ``|h| Lambda <~ mu`` then holds for the largest |h| where
+    ``mu e^-mu`` peaks, at mu = 1; the halves and the factors of 2 absorb
+    the rounding of the tests themselves; and the rounding of h is charged
+    100 times.
+    """
+    n, logr, snap = columns
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        az = np.hypot(x, y)
+        rho = (RHO_PER_STEP * m) * np.exp(re_h)
+        lmz = np.log(az)
+        tau = _EPS * (np.abs(lmz) + (1.0 + math.pi))
+        lw = n * (lmz - logr)
+        e = (ROUNDING_CHARGE * n) * (tau + _EPS * np.abs(logr))
+        theta = n * np.arctan2(y, x)
+        mod = np.exp(lw)
+        big = mod * np.exp(e)
+        gap = (np.hypot(1.0 + mod * np.cos(theta), mod * np.sin(theta))
+               - (1.0 + big) * np.expm1(2.0 * e))
+        cond = big / gap
+        grow = n * (rho / az)
+        a = cond * np.expm1(grow)
+        room = 1.0 - a
+        lam = (3.0 * ROUNDING_CHARGE) * (
+            (n * cond * np.exp(grow) / room).sum(axis=0) * tau
+            + 8.0 * n.size * _EPS) - np.log1p(-a).sum(axis=0)
+        edge = (az + rho) * (1.0 + 2.0 ** -30)
+        lam2 = 2.0 * lam
+        return ((rho * (2.0 * n.sum()) <= az)
+                & (gap * room > 2.0 * np.expm1(2.0 * (snap + e))).all(axis=0)
+                & (np.exp(hlm) * np.expm1(lam) <= 0.5)
+                & (re_h >= -CARTESIAN_BAND) & (re_h + 1.0 <= CARTESIAN_BAND)
+                & (hlm + lam2 <= CARTESIAN_BAND) & (edge * edge < esc2)
+                & (flagged | (hlm - lam2 > LOG_LN2)))
+
+
 def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
     npts = zx.shape[0]
     # per start point, by global index: the grid's status flags and step,
@@ -319,6 +448,8 @@ def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
     idx = np.arange(npts)
     x, y = zx, zy
     esc2 = escape_radius * escape_radius
+    columns = _factor_columns(factors)
+    two_n = 2.0 * columns[0].sum()
     for s in range(max_steps):
         if idx.size == 0:
             break
@@ -333,6 +464,10 @@ def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
             # computes, so that step may overflow or be NaN: it is dropped
             # and nothing computed for it is read
             emod = np.exp(re_h)
+            # the first condition of `_settled`, N delta <= 1/2, screens
+            # every orbit, so each one it would certify is a candidate
+            m = max_steps - s
+            slow = (RHO_PER_STEP * m) * emod * two_n <= np.hypot(x, y)
             ia = _reduce_np(im_h)
             nx = x + emod * np.cos(ia)
             # at a snapped zero the step is exactly +1; adding sin(0) to y
@@ -346,6 +481,12 @@ def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
         # this one, so the orbit never escapes and its flag is final
         frozen = (nx == x) & (ny == y)
         keep = ~(out | frozen)
+        # orbits certified final for the m steps left retire like frozen ones
+        cand = np.flatnonzero(keep & slow)
+        if cand.size:
+            keep[cand[_settled(x[cand], y[cand], hlm[cand], re_h[cand],
+                               status[idx[cand]] != STATUS_BOUNDED, m,
+                               columns, esc2)]] = False
         idx, x, y = idx[keep], nx[keep], ny[keep]
     return status, step
 
@@ -391,7 +532,11 @@ def classify_field(zx, zy, p: ParamSeq, max_steps: int, escape_radius: float):
     An orbit that lands on a floating-point fixed point (``f(z) == z``
     bitwise) stops there with its final status, 0 or 2.  That is an artefact
     of rounding: the map has no fixed points.  Such pixels are reported as
-    bounded until the grid format gets a status of its own for them.
+    bounded until the grid format gets a status of its own for them.  An
+    orbit so slow that `_settled` proves it cannot escape, set the near-zero
+    flag or meet a snapped zero in the steps left stops too, with the same
+    status and step the remaining steps would have left it: 0 with step 0,
+    or 2 with its near-zero step.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")

@@ -272,22 +272,27 @@ def _integrand_exp_neg_h(ts: np.ndarray, p: ParamSeq) -> np.ndarray:
     return np.exp(-(re_h + 1j * im_h))
 
 
-def _gk_panel(z0: complex, dz: complex, ua: float, ub: float,
-              p: ParamSeq) -> tuple[complex, float]:
-    half = 0.5 * (ub - ua)
-    mid = 0.5 * (ua + ub)
-    us = mid + half * _NODES
-    ts = z0 + us * dz
-    scale = half * dz
-    # e^{-h} overflows once Re h passes about -709.8, and a sum of finite
-    # values may overflow too; either way the Kronrod value is not finite
+def _gk_panels(panels: list, p: ParamSeq) -> list[tuple[complex, float]]:
+    """Kronrod value and error estimate of each panel ``(z0, dz, ua, ub)``,
+    the part ``u in [ua, ub]`` of the segment ``z0 + u dz``.
+
+    All nodes go through one `_kernels.h_field` call; each point's value
+    does not depend on the batch, so each panel's sums are those of a
+    panel evaluated alone.  A Kronrod value that is not finite marks an
+    overflow: e^{-h} overflows once Re h passes about -709.8, and a sum of
+    finite values may overflow too.
+    """
+    ts = np.concatenate([z0 + (0.5 * (ua + ub) + 0.5 * (ub - ua) * _NODES) * dz
+                         for z0, dz, ua, ub in panels])
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _integrand_exp_neg_h(ts, p)
-        kron = scale * np.sum(_KW * vals)
-        gauss = scale * np.sum(_GW * vals)
-    if not np.isfinite(kron):
-        raise NonConvergence(f"integrand overflow on u in [{ua}, {ub}]")
-    return complex(kron), abs(kron - gauss)
+        vals = _integrand_exp_neg_h(ts, p).reshape(len(panels), _NODES.size)
+        for (_, dz, ua, ub), v in zip(panels, vals):
+            scale = 0.5 * (ub - ua) * dz
+            kron = scale * np.sum(_KW * v)
+            gauss = scale * np.sum(_GW * v)
+            out.append((complex(kron), abs(kron - gauss)))
+    return out
 
 
 def _check_tol(tol: float) -> None:
@@ -295,32 +300,54 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be positive")
 
 
-def integrate_exp_neg_h(z0: complex, z1: complex, p: ParamSeq,
-                        tol: float = 1e-10) -> complex:
-    """Integral of e^{-h} along the straight segment from z0 to z1."""
-    _check_tol(tol)
-    z0 = complex(z0)
-    z1 = complex(z1)
-    dz = z1 - z0
-    if dz == 0:
-        return 0j
+def _refine(z0: complex, dz: complex, tol: float, root,
+            p: ParamSeq) -> complex:
+    # adaptive refinement of one segment from its root panel: depth-first,
+    # left half before right, a panel's two halves evaluated together
     total = 0j
 
-    def rec(ua, ub, tol_loc, depth):
+    def rec(ua, ub, tol_loc, depth, panel):
         nonlocal total
-        if depth > _MAX_DEPTH:
-            raise NonConvergence(
-                f"quadrature depth limit at u in [{ua}, {ub}]")
-        val, err = _gk_panel(z0, dz, ua, ub, p)
+        val, err = panel
+        if not cmath.isfinite(val):
+            raise NonConvergence(f"integrand overflow on u in [{ua}, {ub}]")
         if err <= tol_loc:
             total += val
             return
         um = 0.5 * (ua + ub)
-        rec(ua, um, 0.5 * tol_loc, depth + 1)
-        rec(um, ub, 0.5 * tol_loc, depth + 1)
+        if depth + 1 > _MAX_DEPTH:
+            raise NonConvergence(
+                f"quadrature depth limit at u in [{ua}, {um}]")
+        left, right = _gk_panels([(z0, dz, ua, um), (z0, dz, um, ub)], p)
+        rec(ua, um, 0.5 * tol_loc, depth + 1, left)
+        rec(um, ub, 0.5 * tol_loc, depth + 1, right)
 
-    rec(0.0, 1.0, tol, 0)
+    rec(0.0, 1.0, tol, 0, root)
     return total
+
+
+def _integrate_segments(segments: list, p: ParamSeq) -> list[complex]:
+    """Integrals of e^{-h} along straight segments ``(z0, z1, tol)``.
+
+    The root panels of all segments share one h_field call; then each
+    segment in turn is refined (`_refine`).  Panels, sums and
+    `NonConvergence` are those of one adaptive run per segment.
+    """
+    for _, _, tol in segments:
+        _check_tol(tol)
+    segs = [(complex(z0), complex(z1) - complex(z0), tol)
+            for z0, z1, tol in segments]
+    live = [seg for seg in segs if seg[1] != 0]
+    roots = (_gk_panels([(z0, dz, 0.0, 1.0) for z0, dz, _ in live], p)
+             if live else [])
+    refined = iter([_refine(*seg, root, p) for seg, root in zip(live, roots)])
+    return [next(refined) if dz != 0 else 0j for _, dz, _ in segs]
+
+
+def integrate_exp_neg_h(z0: complex, z1: complex, p: ParamSeq,
+                        tol: float = 1e-10) -> complex:
+    """Integral of e^{-h} along the straight segment from z0 to z1."""
+    return _integrate_segments([(z0, z1, tol)], p)[0]
 
 
 def eval_g(z: complex, p: ParamSeq, tol: float = 1e-10) -> complex:
@@ -351,9 +378,9 @@ def newton_residual(z: complex, p: ParamSeq, step: float = 1e-5,
     if not step > 0.0:
         raise ValueError("step must be positive")
     z = complex(z)
-    base = integrate_exp_neg_h(0.0, z - step, p, tol)
-    d_mid = integrate_exp_neg_h(z - step, z, p, tol * 1e-2)
-    d_full = integrate_exp_neg_h(z - step, z + step, p, tol * 1e-2)
+    base, d_mid, d_full = _integrate_segments(
+        [(0.0, z - step, tol), (z - step, z, tol * 1e-2),
+         (z - step, z + step, tol * 1e-2)], p)
     g_minus = cmath.exp(-base)
     g_mid = cmath.exp(-(base + d_mid))
     g_plus = cmath.exp(-(base + d_full))

@@ -122,6 +122,34 @@ class TestScalarKernelParity:
         rec = iterate(z, p, max_steps=steps, escape_radius=radius)
         assert _kernel_cell(rec) == cell
 
+    @pytest.mark.parametrize("rect, p, steps", [
+        ((-8 - 8j, 8 + 8j), DOUBLING, 40),  # the canonical grid
+        ((-11 - 10j, 13 + 14j), STEEP, 70),
+    ], ids=["canonical-doubling", "steep-70"])
+    def test_retired_orbits_match_iterate(self, monkeypatch, rect, p, steps):
+        # every state the certificate retires on the grid, without the
+        # near-zero flag, is a start it retires at step 0 with the steps left
+        states = []
+        real = _kernels._settled
+
+        def recording(x, y, hlm, re_h, flagged, m, *args):
+            ok = real(x, y, hlm, re_h, flagged, m, *args)
+            pick = ok & ~flagged
+            states.extend((complex(a, b), m)
+                          for a, b in zip(x[pick], y[pick]))
+            return ok
+
+        monkeypatch.setattr(_kernels, "_settled", recording)
+        classify_grid(rect, 64, 64, p, max_steps=steps, escape_radius=64.0)
+        rng = np.random.default_rng(17)
+        starts = [states[i] for i in rng.choice(len(states), 120, False)]
+        states.clear()
+        for z, m in starts:
+            cell = _kernels.classify_field([z.real], [z.imag], p, m, 64.0)
+            rec = iterate(z, p, max_steps=m, escape_radius=64.0)
+            assert (cell[0][0], cell[1][0]) == _kernel_cell(rec), (z, m)
+        assert states == starts  # each one retired at its step 0
+
     def test_tiny_h_is_a_unit_translation(self):
         # |h| < e^-700 is cartesian (here it underflows to 0), not log-polar
         res = eval_f(TINY_H_Z, TINY_H)

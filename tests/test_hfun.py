@@ -282,13 +282,13 @@ class TestIntegration:
 
     def test_steep_segment_splits_panels(self, monkeypatch):
         panels = []
-        inner = hfun._gk_panel
+        inner = hfun._gk_panels
 
-        def counting(*args):
-            panels.append(args)
-            return inner(*args)
+        def counting(batch, p):
+            panels.extend(batch)
+            return inner(batch, p)
 
-        monkeypatch.setattr(hfun, "_gk_panel", counting)
+        monkeypatch.setattr(hfun, "_gk_panels", counting)
         got = integrate_exp_neg_h(0.0, 3.0, DOUBLING)
         # e^{-h} falls from 1 to 0.014 on [0, 3], too fast for one panel
         assert len(panels) > 1

@@ -348,6 +348,9 @@ def test_stall_exit_skips_frozen_orbits(monkeypatch):
     # would be evaluated on all 40 steps
     assert np.count_nonzero(np.isin(g.status, (0, 2))) > 0.4 * g.nx * g.ny
     assert sum(seen) < budget // 4
+    # frozen orbits alone leave 38166 point-steps; slow orbits retired by
+    # `_settled` bring them to 21720
+    assert sum(seen) < 24000
 
 
 # (z, step at which |h| < ln 2 first holds, step whose image equals its input)
@@ -459,3 +462,130 @@ def test_dead_small_factor_skips_its_reduction(monkeypatch):
     p, zx, zy = _dead_factor_points("paper2-dead-small")
     _kernels._h_field_numpy(zx, zy, _kernels.prepared(p))
     assert seen == [zx.size]
+
+
+# ---------------------------------------------------------------------------
+# slow orbits retired by the certificate `_settled`
+# ---------------------------------------------------------------------------
+
+# the five escape templates of perfbench, without its seeded jitter:
+# profile, half-width, centre, step budget
+ESCAPE_TEMPLATES = {
+    "canonical-doubling": ("doubling", 8.0, 0j, 40),
+    "steep-70": ("steep", 12.0, 1 + 2j, 70),
+    "steep-80": ("steep", 12.0, 1 + 3j, 80),
+    "doubling-90": ("doubling", 13.0, 1.5 + 3j, 90),
+    "wide-doubling-200": ("doubling", 18.0, 1 + 2j, 200),
+}
+
+
+def _template_points(name, side=64):
+    profile, half, c, steps = ESCAPE_TEMPLATES[name]
+    xs = axis_coords(c.real - half, c.real + half, side)
+    ys = axis_coords(c.imag - half, c.imag + half, side)
+    return make_toy(profile), np.tile(xs, side), np.repeat(ys, side), steps
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPE_TEMPLATES))
+def test_certificate_moves_no_byte(monkeypatch, name):
+    p, zx, zy, steps = _template_points(name)
+    factors = _kernels.prepared(p)
+    retired = []
+    real = _kernels._settled
+
+    def counting(*args):
+        ok = real(*args)
+        retired.append(np.count_nonzero(ok))
+        return ok
+
+    monkeypatch.setattr(_kernels, "_settled", counting)
+    cells = _kernels._classify_numpy(zx, zy, factors, steps, 64.0)
+    assert sum(retired) > 0
+    monkeypatch.setattr(_kernels, "_settled",
+                        lambda x, *args: np.zeros(x.shape, dtype=bool))
+    assert _sha(*cells) == _sha(*_kernels._classify_numpy(zx, zy, factors,
+                                                           steps, 64.0))
+
+
+# on doubling, Re h = -28.57 here: the orbit creeps by about e^-28.6 a step
+SLOW_START = complex(-6.898342038351103, 3.348078243721183)
+
+
+def _slow_state():
+    # (log|h|, Re h) at SLOW_START
+    zx, zy = np.array([SLOW_START.real]), np.array([SLOW_START.imag])
+    _, lm, ag = _kernels.h_field(zx, zy, DOUBLING)
+    return float(lm[0]), float(_kernels.h_cartesian(lm, ag)[0][0])
+
+
+def test_slow_start_costs_one_evaluation(monkeypatch):
+    assert _slow_state()[1] <= -25.0
+    seen = _count_points(monkeypatch, "_h_field_numpy")
+    status, step = _kernels.classify_field([SLOW_START.real],
+                                           [SLOW_START.imag], DOUBLING, 40,
+                                           64.0)
+    assert (status[0], step[0]) == (0, 0)
+    assert seen == [1]
+    rec = iterate(SLOW_START, DOUBLING, max_steps=40, escape_radius=64.0)
+    assert rec.status == "bounded-so-far" and rec.nzt_step is None
+
+
+def _settled_at(profile, z, hlm, re_h, flagged, m, radius=64.0):
+    # the certificate on one hand-made orbit state
+    x, y, lm, re = (np.array([v]) for v in (z.real, z.imag, hlm, re_h))
+    columns = _kernels._factor_columns(_kernels.prepared(make_toy(profile)))
+    return bool(_kernels._settled(x, y, lm, re, np.array([flagged]), m,
+                                  columns, radius * radius)[0])
+
+
+# a hand-made state at SLOW_START with Re h = -12 and |h| = 20: over 40
+# steps the disk has radius rho = 3 e 40 e^-12 = 2.0e-3, far above the
+# escape test's relative margin of 2^-30
+CREEP = (math.log(20.0), -12.0, True, 40)
+
+
+def test_certificate_refuses_a_disk_reaching_the_escape_circle():
+    _, re_h, _, m = CREEP
+    edge = abs(SLOW_START) + _kernels.RHO_PER_STEP * m * math.exp(re_h)
+    assert _settled_at("doubling", SLOW_START, *CREEP)
+    # the disk crosses the circle, or comes within its margin
+    for radius in (0.5 * (abs(SLOW_START) + edge), edge * (1.0 + 2.0 ** -31)):
+        assert not _settled_at("doubling", SLOW_START, *CREEP, radius)
+    assert _settled_at("doubling", SLOW_START, *CREEP,
+                       edge * (1.0 + 2.0 ** -29))
+
+
+def test_certificate_refuses_a_disk_where_re_h_may_grow():
+    # with |h| = 200 instead of 20 the same disk may see Re h rise by more
+    # than 1 (|h| expm1(Lambda*) > 1/2), so steps could leave it
+    _, re_h, flagged, m = CREEP
+    assert _settled_at("doubling", SLOW_START, math.log(50.0), re_h,
+                       flagged, m)
+    assert not _settled_at("doubling", SLOW_START, math.log(200.0), re_h,
+                           flagged, m)
+
+
+def test_certificate_refuses_an_unflagged_orbit_near_ln2():
+    _, re_h = _slow_state()
+    # |h| a hair above ln 2: the next steps could set the near-zero flag
+    hlm = _kernels.LOG_LN2 + 1e-12
+    assert not _settled_at("doubling", SLOW_START, hlm, re_h, False, 40)
+    assert _settled_at("doubling", SLOW_START, hlm, re_h, True, 40)
+
+
+def test_certificate_refuses_an_orbit_near_a_factor_zero():
+    # 2i is a zero of doubling's first factor; a hand-made tiny |h| and
+    # step isolate the snap-window condition: 6e-13 off the zero is within
+    # it, 1e-10 off is not
+    near, off = 2j * (1.0 + 6e-13), 2j * (1.0 + 1e-10)
+    assert not _settled_at("doubling", near, -14.0, -600.0, True, 40)
+    assert _settled_at("doubling", off, -14.0, -600.0, True, 40)
+
+
+def test_certificate_charges_the_rounding_of_h():
+    # on paper2's ring 2 (n_2 = 2844000000) one ulp of arg z moves h by
+    # about 3e-6 relative; with a hand-made step of e^-600 the bound on D is
+    # the charged rounding term alone, so it decides between |h| = 300
+    # (300 T' |h| = 0.15) and |h| = 1500 (0.77, above the 1/2 allowed)
+    assert _settled_at("paper2", 4 + 0j, math.log(300.0), -600.0, True, 1)
+    assert not _settled_at("paper2", 4 + 0j, math.log(1500.0), -600.0, True, 1)
