@@ -299,6 +299,28 @@ class TestIntegration:
         with pytest.raises(NonConvergence, match="depth limit"):
             integrate_exp_neg_h(0.0, 1.0, DOUBLING, 1e-300)
 
+    # recorded from the recursive depth-first refinement; 13 panels each
+    @pytest.mark.parametrize("z1, pinned", [
+        (3.5j, "(1.3871335084406017e-15+7.043618827428562j)"),
+        (3.3 + 2.1j, "(0.7396665853574618+0.016136042332339163j)"),
+    ])
+    def test_refined_steep_integrals_are_pinned(self, z1, pinned):
+        got = integrate_exp_neg_h(0, z1, make_toy("steep"), 1e-12)
+        assert repr(got) == pinned
+
+    # the first segment in order raises, whatever the later ones do
+    @pytest.mark.parametrize("name, segments, message", [
+        ("steep", [(0, 2.0, 1e-300), (0, 10j, 1e-10)],
+         "quadrature depth limit at u in [0.0, 4.656612873077393e-10]"),
+        ("doubling", [(0, 10j, 1e-10), (0, 2.0, 1e-300)],
+         "integrand overflow on u in [0.0, 1.0]"),
+    ], ids=["depth-limit", "overflow"])
+    def test_first_failing_segment_is_reported(self, name, segments,
+                                               message):
+        with pytest.raises(NonConvergence) as exc:
+            hfun._integrate_segments(segments, make_toy(name))
+        assert str(exc.value) == message
+
 
 class TestG:
     def test_value_at_one(self):
