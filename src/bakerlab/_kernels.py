@@ -50,8 +50,9 @@ gathers or scatters.
 
 The compensated angle multiplication is exact only for degrees
 ``n_k < 2**53``; `ParamSeq` enforces that bound.  `_reduce_dd` is the
-package's one angle reduction: `logc.reduce_angle` and `logc.lc_pow_int`
-call it too, for angles below `ANGLE_MAX` = 2**53.
+package's one angle reduction: `hfun.eval_f` and `logc.lc_pow_int` call it
+too, for angles below `ANGLE_MAX` = 2**53, and hand the reduced angle to
+`logc.LogComplex`, which only checks its range.
 """
 
 from __future__ import annotations
@@ -181,25 +182,25 @@ def _h_point(zx, zy, factors):
         hi, lo = _split_prod(n, agz, agh, agl)
         wag = _reduce_dd(hi, lo)
         if wlm > DEAD_EDGE:
-            flm, fag = wlm, wag  # the factor is exactly w
+            lm, ag = wlm, wag  # the factor is exactly w
         elif abs(wlm) >= FAR_EDGE:
             v = math.exp(-abs(wlm))
-            flm = 0.5 * math.log1p(v * (2.0 * math.cos(wag) + v))
-            fag = math.atan2(v * math.sin(wag), 1.0 + v * math.cos(wag))
+            lm = 0.5 * math.log1p(v * (2.0 * math.cos(wag) + v))
+            ag = math.atan2(v * math.sin(wag), 1.0 + v * math.cos(wag))
             if wlm > 0.0:
                 # 1 + w = w (1 + 1/w)
-                flm += wlm
-                fag = wrap_angle(wag - fag)
+                lm += wlm
+                ag = wrap_angle(wag - ag)
         elif abs(wlm) <= eps and (math.pi - abs(wag)) <= eps:
             return True, -math.inf, 0.0
         else:
             m = math.exp(wlm)
             x = 1.0 + m * math.cos(wag)
             y = m * math.sin(wag)
-            flm = math.log(math.hypot(x, y))
-            fag = math.atan2(y, x)
-        acc_lm += flm
-        acc_ag = wrap_angle(acc_ag + fag)
+            lm = math.log(math.hypot(x, y))
+            ag = math.atan2(y, x)
+        acc_lm += lm
+        acc_ag = wrap_angle(acc_ag + ag)
     return False, acc_lm, acc_ag
 
 
@@ -235,9 +236,8 @@ def _select(mask):
 
 
 def _h_field_numpy(zx, zy, factors):
-    # each factor's two regimes are evaluated on their own points
-    flm = np.empty_like(zx)
-    fag = np.empty_like(zx)
+    # each factor's two regimes are evaluated on their own points and added
+    # to the sums there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # -inf at the origin, where every factor is in the far field with
         # a small w and adds +-0.0 to the +0.0 accumulators, so h(0) is +0.0
@@ -281,8 +281,8 @@ def _h_field_numpy(zx, zy, factors):
                     a = wag[sel][big] - ag[big]
                     _wrap_np(a)
                     ag[big] = a
-                flm[sel] = lm
-                fag[sel] = ag
+                acc_lm[sel] += lm
+                acc_ag[sel] += ag
             sel = _select(~far)
             if sel is not None:
                 m = np.exp(wlm[sel])
@@ -291,10 +291,8 @@ def _h_field_numpy(zx, zy, factors):
                 # snapped to the factor's zero
                 zero[sel] |= ((awlm[sel] <= eps)
                               & ((math.pi - np.abs(wag[sel])) <= eps))
-                flm[sel] = np.log(np.hypot(x, y))
-                fag[sel] = np.arctan2(y, x)
-            acc_lm += flm
-            acc_ag += fag
+                acc_lm[sel] += np.log(np.hypot(x, y))
+                acc_ag[sel] += np.arctan2(y, x)
             _wrap_np(acc_ag)
 
     acc_lm[zero] = -np.inf
@@ -514,9 +512,13 @@ def h_field(zx, zy, p: ParamSeq):
 
 
 def check_escape_radius(p: ParamSeq, escape_radius: float) -> None:
-    """Reject an escape radius that is not beyond the last ring (NaN too)."""
-    if not escape_radius > p.r[-1]:
-        raise ValueError("escape_radius must exceed the last stored radius")
+    """Reject an escape radius that is not beyond the last ring (NaN too),
+    or whose square overflows: from about 1.34e154 on, R*R is inf and the
+    escape test ``x*x + y*y > R*R`` could never fire."""
+    if not (escape_radius > p.r[-1]
+            and escape_radius * escape_radius < math.inf):
+        raise ValueError("escape_radius must exceed the last stored radius "
+                         "and have a finite square (below 1.34e154)")
 
 
 def classify_field(zx, zy, p: ParamSeq, max_steps: int, escape_radius: float):

@@ -6,11 +6,12 @@ form.  Its error is the first-order rounding of log|z| and arg z times the
 degree: about 1e-6 in angle on paper2's ring 2 (n_2 = 2844000000).  The
 compensated n*arg z product is exact only for the rounded `atan2` output,
 not for z.  Results leave cartesian range as `logc.LogComplex`, so values
-like e^{h} with Re h ~ 10^16 stay representable.  The angle of such an f is
-Im h mod 2 pi, reduced by the kernels' `_reduce_dd`; from |Im h| = 2^53
-(`_kernels.ANGLE_MAX`) on, a computed Im h is off by more than 1 rad, and
-the angle is None: unknown.  The quadrature behind g batches integrand
-evaluations through `_kernels.h_field`.
+like e^{h} with Re h ~ 10^16 stay representable.  Each such value is built
+from an angle already in (-pi, pi]: the scalar core's arg h, or for f the
+angle Im h mod 2 pi, reduced here by the kernels' `_reduce_dd`; from
+|Im h| = 2^53 (`_kernels.ANGLE_MAX`) on, a computed Im h is off by more
+than 1 rad, and the angle is None: unknown.  The quadrature behind g
+batches integrand evaluations through `_kernels.h_field`.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ def eval_f(z: complex, p: ParamSeq,
     elif isinstance(h, LogComplex):
         value = LogComplex(math.inf, 0.0) if math.cos(h.arg) >= 0.0 else z
     elif h.real > CARTESIAN_BAND:
-        value = LogComplex(h.real,
-                           h.imag if abs(h.imag) < ANGLE_MAX else None)
+        value = LogComplex(h.real, _kernels._reduce_dd(h.imag, 0.0)
+                           if abs(h.imag) < ANGLE_MAX else None)
     else:
         value = z + cmath.exp(h)  # exp may underflow to 0, leaving f = z
     return EvalResult(value, hres.trunc_bound)
@@ -265,28 +266,24 @@ _GW[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 _MAX_DEPTH = 30
 
 
-def _integrand_exp_neg_h(ts: np.ndarray, p: ParamSeq) -> np.ndarray:
-    # e^{-h} at a batch of points; exact zeros of h give exactly 1
-    _, lm, ag = _kernels.h_field(ts.real, ts.imag, p)
-    re_h, im_h = _kernels.h_cartesian(lm, ag)
-    return np.exp(-(re_h + 1j * im_h))
-
-
 def _gk_panels(panels: list, p: ParamSeq) -> list[tuple[complex, float]]:
     """Kronrod value and error estimate of each panel ``(z0, dz, ua, ub)``,
     the part ``u in [ua, ub]`` of the segment ``z0 + u dz``.
 
     All nodes go through one `_kernels.h_field` call; each point's value
     does not depend on the batch, so each panel's sums are those of a
-    panel evaluated alone.  A Kronrod value that is not finite marks an
-    overflow: e^{-h} overflows once Re h passes about -709.8, and a sum of
-    finite values may overflow too.
+    panel evaluated alone.  Exact zeros of h give e^{-h} = 1 exactly.  A
+    Kronrod value that is not finite marks an overflow: e^{-h} overflows
+    once Re h passes about -709.8, and a sum of finite values may overflow
+    too.
     """
     ts = np.concatenate([z0 + (0.5 * (ua + ub) + 0.5 * (ub - ua) * _NODES) * dz
                          for z0, dz, ua, ub in panels])
+    _, lm, ag = _kernels.h_field(ts.real, ts.imag, p)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _integrand_exp_neg_h(ts, p).reshape(len(panels), _NODES.size)
+        re_h, im_h = _kernels.h_cartesian(lm, ag)
+        vals = np.exp(-(re_h + 1j * im_h)).reshape(len(panels), _NODES.size)
         for (_, dz, ua, ub), v in zip(panels, vals):
             scale = 0.5 * (ub - ua) * dz
             kron = scale * np.sum(_KW * v)
@@ -295,53 +292,47 @@ def _gk_panels(panels: list, p: ParamSeq) -> list[tuple[complex, float]]:
     return out
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-
-
-def _refine(z0: complex, dz: complex, tol: float, root,
-            p: ParamSeq) -> complex:
-    # adaptive refinement of one segment from its root panel: depth-first,
-    # left half before right, a panel's two halves evaluated together
-    total = 0j
-
-    def rec(ua, ub, tol_loc, depth, panel):
-        nonlocal total
-        val, err = panel
-        if not cmath.isfinite(val):
-            raise NonConvergence(f"integrand overflow on u in [{ua}, {ub}]")
-        if err <= tol_loc:
-            total += val
-            return
-        um = 0.5 * (ua + ub)
-        if depth + 1 > _MAX_DEPTH:
-            raise NonConvergence(
-                f"quadrature depth limit at u in [{ua}, {um}]")
-        left, right = _gk_panels([(z0, dz, ua, um), (z0, dz, um, ub)], p)
-        rec(ua, um, 0.5 * tol_loc, depth + 1, left)
-        rec(um, ub, 0.5 * tol_loc, depth + 1, right)
-
-    rec(0.0, 1.0, tol, 0, root)
-    return total
+def _check_positive(name: str, x: float) -> None:
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def _integrate_segments(segments: list, p: ParamSeq) -> list[complex]:
     """Integrals of e^{-h} along straight segments ``(z0, z1, tol)``.
 
-    The root panels of all segments share one h_field call; then each
-    segment in turn is refined (`_refine`).  Panels, sums and
-    `NonConvergence` are those of one adaptive run per segment.
+    The root panels of all segments share one h_field call.  Then each
+    segment in turn is refined from a stack of panels, each with its share
+    of tol and its depth: the left half is popped first, and a panel's two
+    halves are evaluated together.  Panels, sums and `NonConvergence` are
+    those of a depth-first adaptive run per segment.
     """
     for _, _, tol in segments:
-        _check_tol(tol)
+        _check_positive("tol", tol)
     segs = [(complex(z0), complex(z1) - complex(z0), tol)
             for z0, z1, tol in segments]
-    live = [seg for seg in segs if seg[1] != 0]
-    roots = (_gk_panels([(z0, dz, 0.0, 1.0) for z0, dz, _ in live], p)
-             if live else [])
-    refined = iter([_refine(*seg, root, p) for seg, root in zip(live, roots)])
-    return [next(refined) if dz != 0 else 0j for _, dz, _ in segs]
+    live = [(z0, dz, 0.0, 1.0) for z0, dz, _ in segs if dz != 0]
+    roots = iter(_gk_panels(live, p) if live else [])
+    out = []
+    for z0, dz, tol in segs:
+        total = 0j
+        stack = [(0.0, 1.0, tol, 0, next(roots))] if dz != 0 else []
+        while stack:
+            ua, ub, tol_loc, depth, (val, err) = stack.pop()
+            if not cmath.isfinite(val):
+                raise NonConvergence(
+                    f"integrand overflow on u in [{ua}, {ub}]")
+            if err <= tol_loc:
+                total += val
+                continue
+            um = 0.5 * (ua + ub)
+            if depth == _MAX_DEPTH:
+                raise NonConvergence(
+                    f"quadrature depth limit at u in [{ua}, {um}]")
+            left, right = _gk_panels([(z0, dz, ua, um), (z0, dz, um, ub)], p)
+            stack += [(um, ub, 0.5 * tol_loc, depth + 1, right),
+                      (ua, um, 0.5 * tol_loc, depth + 1, left)]
+        out.append(total)
+    return out
 
 
 def integrate_exp_neg_h(z0: complex, z1: complex, p: ParamSeq,
@@ -356,7 +347,7 @@ def eval_g(z: complex, p: ParamSeq, tol: float = 1e-10) -> complex:
     Raises OverflowError naming g and z when the exponential leaves double
     range (the integral itself raises `NonConvergence`).
     """
-    _check_tol(tol)
+    _check_positive("tol", tol)
     if z == 0:
         return complex(1.0)
     integral = integrate_exp_neg_h(0.0, z, p, tol)
@@ -375,8 +366,7 @@ def newton_residual(z: complex, p: ParamSeq, step: float = 1e-5,
     quadrature error cancels in the difference quotient instead of being
     amplified by 1/(2 step).
     """
-    if not step > 0.0:
-        raise ValueError("step must be positive")
+    _check_positive("step", step)
     z = complex(z)
     base, d_mid, d_full = _integrate_segments(
         [(0.0, z - step, tol), (z - step, z, tol * 1e-2),

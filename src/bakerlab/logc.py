@@ -3,16 +3,19 @@
 A nonzero complex number is stored as ``(logmod, arg)`` where ``logmod`` is
 the natural log of its modulus and ``arg`` its argument in ``(-pi, pi]``.
 This survives magnitudes like ``exp(1e16)`` that no binary float can hold in
-cartesian form.  An angle is reduced by the kernels' `_reduce_dd` only below
-`_kernels.ANGLE_MAX` = 2**53; past it the computed angle carries no
-information, and ``arg`` is None: unknown.  Exact zeros are a separate tag
-(`ZERO`), not ``logmod=-inf``: the product function has exact zeros that must
-propagate exactly (they make the iteration map act as ``z -> z + 1``).  The
-arithmetic that produces these values lives in `_kernels`.
+cartesian form.  The producer of a value reduces its angle, with the
+kernels' `_reduce_dd` and only below `_kernels.ANGLE_MAX` = 2**53; past it
+the computed angle carries no information, and ``arg`` is None: unknown.
+`LogComplex` checks the range and never reduces a second time.  Exact
+zeros are a separate tag (`ZERO`), not ``logmod=-inf``: the product function
+has exact zeros that must propagate exactly (they make the iteration map act
+as ``z -> z + 1``).  The arithmetic that produces these values lives in
+`_kernels`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,14 +63,18 @@ ZERO = Zero()
 @dataclass(frozen=True)
 class LogComplex:
     """A nonzero complex value ``exp(logmod) * exp(i*arg)``; an arg of None
-    is an unknown angle."""
+    is an unknown angle.
+
+    The arg must already lie in (-pi, pi]; any other value, NaN included,
+    raises ValueError.
+    """
 
     logmod: float
     arg: Optional[float]
 
     def __post_init__(self) -> None:
-        if self.arg is not None:
-            object.__setattr__(self, "arg", reduce_angle(self.arg))
+        if self.arg is not None and not -math.pi < self.arg <= math.pi:
+            raise ValueError(f"arg {self.arg!r} is not in (-pi, pi]")
 
 
 def lc_pow_int(v: Zero | LogComplex, n: int) -> Zero | LogComplex:

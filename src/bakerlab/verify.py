@@ -18,7 +18,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import TWO_PI
-from .hfun import E, _probe_b, eval_f, probe_point, ring_log_max
+from .hfun import (E, _check_positive, _probe_b, eval_f, probe_point,
+                   ring_log_max)
 from .hyperbolic import TWO_LOG3, DiskSpec, disk_distance
 from .logc import LogComplex
 from .params import ParamSeq, derive, require_ring_index
@@ -189,8 +190,7 @@ def obstruction_chain(p: ParamSeq, k: int, t_k: float, c: complex,
     require_ring_index(p, k)
     if not 0.0 <= t_k < 1.0:
         raise ValueError("t_k must lie in [0, 1)")
-    if not K_bound > 0.0:
-        raise ValueError("K_bound must be positive")
+    _check_positive("K_bound", K_bound)
     d = derive(p)
     r_k = p.r[k - 1]
     s_k = d.s[k - 1]

@@ -38,6 +38,32 @@ def f_ref(z, r, n):
     return zz + ctx.exp(h_ref(z, r, n))
 
 
+def orbit_ref(z0, r, n, max_steps, escape_radius):
+    """(status, step) of the orbit of z0 under z + e^{h(z)}, the ring
+    product iterated at full precision with no snapping.
+
+    The grid's rules: the near-zero flag 2 on the first step s with
+    |h| < ln 2, with step s; escape (flag 1) on the first step s whose h has
+    Re h > 700 or whose image lies beyond the escape radius, with step s + 1.
+    """
+    ctx = _ctx()
+    z = ctx.mpc(complex(z0).real, complex(z0).imag)
+    ln2 = ctx.log(2)
+    status, step = 0, 0
+    for s in range(max_steps):
+        h = ctx.mpf(1)
+        for rk, nk in zip(r, n):
+            h *= 1 + (z / rk) ** int(nk)
+        if status == 0 and abs(h) < ln2:
+            status, step = 2, s
+        if h.real > 700:
+            return status | 1, s + 1
+        z += ctx.exp(h)
+        if abs(z) > escape_radius:
+            return status | 1, s + 1
+    return status, step
+
+
 def reduce_angle_ref(x: float) -> float:
     """x mod 2*pi into (-pi, pi], treating x as the exact double.
 

@@ -188,7 +188,8 @@ def test_grid_rejects_zero_steps(capsys, tmp_path):
     assert not gpath.exists() and "max_steps" in err
 
 
-@pytest.mark.parametrize("radius", ["1", "-5", "nan"])
+# from 1.34e154 on R*R overflows and the test x*x + y*y > R*R never fires
+@pytest.mark.parametrize("radius", ["1", "-5", "nan", "1e155", "inf"])
 @pytest.mark.parametrize("command", ["grid", "orbit"])
 def test_escape_radius_inside_last_ring_is_rejected(capsys, tmp_path, command,
                                                      radius):
@@ -278,18 +279,24 @@ def test_verify_2b_2c_with_csv(capsys, tmp_path, check, keys, header):
     (["obstruct", "--profile", "paper2", "--k", "2", "--t", "1.0"],
      "t_k must lie in [0, 1)"),
     (["obstruct", "--profile", "paper2", "--k", "2", "--t", "0.1",
-      "--K-bound", "0"], "K_bound must be positive"),
+      "--K-bound", "0"], "K_bound must be positive and finite"),
+    (["obstruct", "--profile", "paper2", "--k", "2", "--t", "0.1",
+      "--K-bound", "inf"], "K_bound must be positive and finite"),
     (["orbit", "--profile", "doubling", "--z", "0,0", "--steps", "0"],
      "max_steps must be >= 1"),
     (["eval", "--profile", "doubling", "--z", "1,0", "--what", "g",
-      "--tol", "nan"], "tol must be positive"),
+      "--tol", "nan"], "tol must be positive and finite"),
     # g(0) = 1 needs no quadrature, but its tolerance is checked all the same
     (["eval", "--profile", "doubling", "--z", "0,0", "--what", "g",
-      "--tol", "nan"], "tol must be positive"),
+      "--tol", "nan"], "tol must be positive and finite"),
     (["eval", "--profile", "doubling", "--z", "0,0", "--what", "g",
-      "--tol=-1"], "tol must be positive"),
-], ids=["obstruct-t", "obstruct-K-bound", "orbit-steps", "eval-tol-nan",
-        "eval-tol-nan-at-0", "eval-tol-negative-at-0"])
+      "--tol=-1"], "tol must be positive and finite"),
+    # an infinite tol would accept the root panel unchecked
+    (["eval", "--profile", "doubling", "--z", "1,0", "--what", "g",
+      "--tol", "inf"], "tol must be positive and finite"),
+], ids=["obstruct-t", "obstruct-K-bound", "obstruct-K-bound-inf",
+        "orbit-steps", "eval-tol-nan", "eval-tol-nan-at-0",
+        "eval-tol-negative-at-0", "eval-tol-inf"])
 def test_out_of_range_options_are_config_errors(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, [], f"error: {err}\n")
 

@@ -276,8 +276,9 @@ class TestIntegration:
             integrate_exp_neg_h(0.0, far, p, 1e-8)
 
     def test_tol_must_be_positive(self):
-        for tol in (0.0, math.nan):
-            with pytest.raises(ValueError, match="tol must be positive"):
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="tol must be positive and finite"):
                 integrate_exp_neg_h(0.0, 1.0, DOUBLING, tol)
 
     def test_steep_segment_splits_panels(self, monkeypatch):
@@ -334,6 +335,7 @@ class TestG:
             assert newton_residual(z, DOUBLING) <= 1e-6
 
     def test_residual_rejects_bad_step(self):
-        for step in (0.0, math.nan):
-            with pytest.raises(ValueError, match="step must be positive"):
+        for step in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="step must be positive and finite"):
                 newton_residual(0.1, DOUBLING, step=step)

@@ -16,7 +16,7 @@ from bakerlab.hfun import eval_h
 from bakerlab.logc import ZERO
 from bakerlab.params import ParamSeq, make_toy
 
-from _oracles import h_ref
+from _oracles import h_ref, orbit_ref
 
 DOUBLING = make_toy("doubling")
 # |log|w|| at which a factor 1 + w leaves the near regime
@@ -505,6 +505,22 @@ def test_certificate_moves_no_byte(monkeypatch, name):
                         lambda x, *args: np.zeros(x.shape, dtype=bool))
     assert _sha(*cells) == _sha(*_kernels._classify_numpy(zx, zy, factors,
                                                            steps, 64.0))
+
+
+@pytest.mark.parametrize("name", ["canonical-doubling", "steep-70",
+                                  "wide-doubling-200"])
+def test_classification_matches_the_full_precision_orbit(name):
+    # status and step of seeded pixels against orbits iterated at 200 bits
+    # with no log-polar form, no snapping and no slow-orbit exit
+    p, zx, zy, steps = _template_points(name)
+    pick = np.random.default_rng(19).choice(zx.size, 30, replace=False)
+    status, step = _kernels.classify_field(zx[pick], zy[pick], p, steps, 64.0)
+    got = list(zip(status.tolist(), step.tolist()))
+    assert got == [orbit_ref(complex(x, y), p.r, p.n, steps, 64.0)
+                   for x, y in zip(zx[pick], zy[pick])]
+    # the sample holds both escaped and unescaped orbits
+    assert {s & _kernels.STATUS_ESCAPED for s, _ in got} == {
+        0, _kernels.STATUS_ESCAPED}
 
 
 # on doubling, Re h = -28.57 here: the orbit creeps by about e^-28.6 a step

@@ -1,6 +1,7 @@
 """Log-polar values: exact tags, angle reduction, and the regime switches of
 the 1 + w step in the arithmetic core."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ import pytest
 
 from bakerlab import _kernels
 from bakerlab._kernels import wrap_angle
+from bakerlab.hfun import eval_f, eval_h
 from bakerlab.logc import LogComplex, ZERO, Zero, lc_pow_int, reduce_angle
-from bakerlab.params import ParamSeq
+from bakerlab.params import ParamSeq, make_toy
 
 from _oracles import reduce_angle_ref
 
@@ -70,13 +72,30 @@ def test_reduce_angle_rejects_unknown_angles(x):
         reduce_angle(x)
 
 
-def test_logcomplex_normalizes_angle_on_construction():
-    v = LogComplex(1.0, 100.0)
-    assert -math.pi < v.arg <= math.pi
-    assert v.arg == reduce_angle(100.0)
+def test_producers_hand_logcomplex_a_reduced_angle():
+    # LogComplex only checks its angle; each producer reduces its own
+    p = make_toy("doubling")
+    z = 1e30 * cmath.exp(2.5j)
+    h = eval_h(z, p).value
+    assert isinstance(h, LogComplex)
+    assert h.arg == _kernels._h_point(z.real, z.imag, _kernels.prepared(p))[2]
+    assert -math.pi < h.arg <= math.pi
+    # a cartesian h with Re h > 700 and Im h = -1.4e13
+    im_h = eval_h(9 + 25j, p).value.imag
+    assert abs(im_h) > 1e13
+    assert eval_f(9 + 25j, p).value.arg == _kernels._reduce_dd(im_h, 0.0)
+    assert lc_pow_int(LogComplex(0.0, 3.0), 5).arg == _kernels._reduce_dd(
+        15.0, 0.0)
     # an unknown angle stays unknown, here and through a power
     assert LogComplex(1.0, None).arg is None
     assert lc_pow_int(LogComplex(1.0, None), 3) == LogComplex(3.0, None)
+
+
+@pytest.mark.parametrize("arg", [100.0, math.nan, -math.pi, math.inf])
+def test_logcomplex_rejects_an_unreduced_angle(arg):
+    with pytest.raises(ValueError, match="not in"):
+        LogComplex(1.0, arg)
+    assert LogComplex(1.0, math.pi).arg == math.pi
 
 
 def test_zero_tag_roundtrip_and_absorption():

@@ -144,3 +144,17 @@ def test_no_unread_public_functions():
             if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("_")
             and node.name not in read] == []
+
+
+def test_no_unread_private_functions():
+    # a private module-level function must be read under src/ outside its
+    # own body, so a leftover helper or a self-recursive one is flagged
+    stmts = [(node, _read_names(node)) for tree in _parsed("src")
+             for node in tree.body]
+    assert stmts
+    unread = [node.name for node, _ in stmts
+              if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and not any(node.name in reads for other, reads in stmts
+                          if other is not node)]
+    assert unread == []
