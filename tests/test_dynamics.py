@@ -1,6 +1,7 @@
 """Orbit iteration, grid classification, grid file IO, determinism."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -65,6 +66,27 @@ class TestIterate:
 
     def test_default_escape_radius(self):
         assert default_escape_radius(DOUBLING) == 64.0
+
+    # sha256 over repr((points, tail, status, step, nzt_step)) of each orbit
+    # from 200 seeded uniform starts in [-20, 20]^2, 40 steps, default radius
+    ORBIT_DIGESTS = {
+        "doubling":
+            "0bbc2c3875d234236a1b3712dfa67526257956c7d2a0eb7219e2608e0af5b11d",
+        "steep":
+            "ae81e38bfd4aa14156faf618e844f7afa54c7e105a5ed8123d4a038d7b0ecf54",
+        "paper2":
+            "a6c3dcf6a9d2a5aef18c1ff2cd3054dbdc8012fff4e5621b1f69458914737cea",
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORBIT_DIGESTS))
+    def test_orbits_are_pinned(self, name):
+        p = make_toy(name)
+        digest = hashlib.sha256()
+        for x, y in np.random.default_rng(20).uniform(-20, 20, (200, 2)):
+            rec = iterate(complex(x, y), p, max_steps=40)
+            digest.update(repr((rec.points, rec.tail, rec.status, rec.step,
+                                rec.nzt_step)).encode())
+        assert digest.hexdigest() == self.ORBIT_DIGESTS[name]
 
 
 def _kernel_cell(rec):
