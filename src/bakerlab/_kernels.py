@@ -511,10 +511,14 @@ def h_field(zx, zy, p: ParamSeq):
     return zero.view(np.uint8), lm, ag
 
 
-def check_escape_radius(p: ParamSeq, escape_radius: float) -> None:
-    """Reject an escape radius that is not beyond the last ring (NaN too),
-    or whose square overflows: from about 1.34e154 on, R*R is inf and the
-    escape test ``x*x + y*y > R*R`` could never fire."""
+def check_orbit_budget(p: ParamSeq, max_steps: int,
+                       escape_radius: float) -> None:
+    """Reject a step budget below 1, then an escape radius that is not
+    beyond the last ring (NaN too) or whose square overflows: from about
+    1.34e154 on, R*R is inf and the escape test ``x*x + y*y > R*R`` could
+    never fire.  `classify_field` and `dynamics.iterate` both check here."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     if not (escape_radius > p.r[-1]
             and escape_radius * escape_radius < math.inf):
         raise ValueError("escape_radius must exceed the last stored radius "
@@ -540,9 +544,7 @@ def classify_field(zx, zy, p: ParamSeq, max_steps: int, escape_radius: float):
     status and step the remaining steps would have left it: 0 with step 0,
     or 2 with its near-zero step.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    check_escape_radius(p, escape_radius)
+    check_orbit_budget(p, max_steps, escape_radius)
     zx = np.ascontiguousarray(zx, dtype=np.float64)
     zy = np.ascontiguousarray(zy, dtype=np.float64)
     return _classify_numpy(zx, zy, prepared(p), max_steps, escape_radius)

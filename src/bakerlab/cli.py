@@ -28,28 +28,27 @@ from .verify import (asymptotic_deviation, obstruction_chain, ring_field,
                      verify_2a, verify_2b, verify_2c)
 
 
-def _complex_arg(text: str) -> complex:
-    """Parse 'RE,IM' (or a bare real) into a complex with finite parts."""
-    try:
-        parts = [float(v) for v in text.split(",")]
-    except ValueError:
-        parts = []
-    if len(parts) not in (1, 2):
-        raise argparse.ArgumentTypeError(f"expected RE,IM got {text!r}")
-    if not all(math.isfinite(v) for v in parts):
-        raise argparse.ArgumentTypeError(f"RE,IM must be finite, got {text!r}")
-    return complex(*parts)
-
-
-def _rect_arg(text: str) -> tuple[complex, complex]:
-    """Parse 'X0,Y0,X1,Y1' into rectangle corners."""
+def _floats(text: str, sizes: tuple[int, ...], form: str) -> list[float]:
+    """Parse comma-separated finite floats, as many as one of ``sizes``."""
     try:
         vals = [float(v) for v in text.split(",")]
     except ValueError:
         vals = []
-    if len(vals) != 4:
-        raise argparse.ArgumentTypeError(f"expected X0,Y0,X1,Y1 got {text!r}")
-    (x0, y0, x1, y1) = vals
+    if len(vals) not in sizes:
+        raise argparse.ArgumentTypeError(f"expected {form} got {text!r}")
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"{form} must be finite, got {text!r}")
+    return vals
+
+
+def _complex_arg(text: str) -> complex:
+    """Parse 'RE,IM' (or a bare real) into a complex with finite parts."""
+    return complex(*_floats(text, (1, 2), "RE,IM"))
+
+
+def _rect_arg(text: str) -> tuple[complex, complex]:
+    """Parse 'X0,Y0,X1,Y1' into rectangle corners."""
+    x0, y0, x1, y1 = _floats(text, (4,), "X0,Y0,X1,Y1")
     if not (x0 < x1 and y0 < y1):
         raise argparse.ArgumentTypeError("rectangle corners must increase")
     try:
@@ -91,6 +90,17 @@ def _add_params_source(sub: argparse.ArgumentParser) -> None:
                      help="built-in parameter profile")
     grp.add_argument("--params", metavar="FILE",
                      help="JSON file with keys r and n")
+
+
+def _add_raster(sub: argparse.ArgumentParser) -> None:
+    # the parameters and the pixel raster of `grid` and `render phase`
+    _add_params_source(sub)
+    sub.add_argument("--rect", type=_rect_arg, required=True,
+                     metavar="X0,Y0,X1,Y1")
+    sub.add_argument("--nx", type=int, required=True)
+    sub.add_argument("--ny", type=int, required=True)
+    sub.add_argument("--out", required=True, metavar="FILE")
+    sub.add_argument("--threads", type=int, default=1)
 
 
 def _resolve_params(args: argparse.Namespace) -> ParamSeq:
@@ -151,15 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--escape-radius", type=float, default=None)
 
     q = sp.add_parser("grid", help="classify a pixel grid and write it")
-    _add_params_source(q)
-    q.add_argument("--rect", type=_rect_arg, required=True,
-                   metavar="X0,Y0,X1,Y1")
-    q.add_argument("--nx", type=int, required=True)
-    q.add_argument("--ny", type=int, required=True)
+    _add_raster(q)
     q.add_argument("--steps", type=int, default=64)
     q.add_argument("--escape-radius", type=float, default=None)
-    q.add_argument("--out", required=True, metavar="FILE")
-    q.add_argument("--threads", type=int, default=1)
 
     q = sp.add_parser("render", help="write a PPM image")
     rsp = q.add_subparsers(dest="mode", required=True)
@@ -169,14 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     re_.add_argument("--out", required=True, metavar="FILE")
     re_.add_argument("--palette", choices=("ember", "gray"), default="ember")
 
-    rp = rsp.add_parser("phase", help="phase portrait of the product")
-    _add_params_source(rp)
-    rp.add_argument("--rect", type=_rect_arg, required=True,
-                    metavar="X0,Y0,X1,Y1")
-    rp.add_argument("--nx", type=int, required=True)
-    rp.add_argument("--ny", type=int, required=True)
-    rp.add_argument("--out", required=True, metavar="FILE")
-    rp.add_argument("--threads", type=int, default=1)
+    _add_raster(rsp.add_parser("phase", help="phase portrait of the product"))
 
     q = sp.add_parser("selftest", help="run the acceptance suite")
     q.add_argument("--only", type=int, default=None, metavar="N",

@@ -7,7 +7,9 @@ vectors and written by the caller into arrays it owns, in one row band
 unless more threads are asked for (at most `MAX_BANDS`).  Every pixel is an
 independent pure computation, so output bytes are identical for any thread
 count and chunk size.  Scalar `iterate` and the batch kernels implement the
-same stepping rule and are cross-checked in the tests.
+same stepping rule and are cross-checked in the tests; `iterate` takes its
+near-zero test (`hfun.EvalResult.near_zero`) and its budget check
+(`_kernels.check_orbit_budget`) from the classifier's own.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .hfun import eval_f, eval_h
-from .logc import LogComplex, Zero
+from .logc import LogComplex
 from .params import ParamSeq, params_digest
 
 GRID_MAGIC = b"BKGRID1"
@@ -41,18 +43,26 @@ class OrbitRecord:
     """Iterate list with escape classification.
 
     points holds the orbit while it stays in cartesian range; tail is the
-    first iterate that had to stay in log form.  status is "escaped",
-    "near-zero-translation" (the orbit passed a unit-translation phase and
-    never escaped), or "bounded-so-far".  step is the first escape index;
-    nzt_step the first index where |h| < ln 2.
+    first iterate that had to stay in log form.  step is the first escape
+    index; nzt_step the first index where |h| < ln 2, by the classifier's
+    test (`hfun.EvalResult.near_zero`).  The status follows from the two.
     """
 
     points: list
     tail: Optional[LogComplex]
-    status: str
     step: Optional[int]
     nzt_step: Optional[int]
     max_steps: int
+
+    @property
+    def status(self) -> str:
+        """"escaped" once step is set; else "near-zero-translation" (the
+        orbit passed a unit-translation phase) once nzt_step is; else
+        "bounded-so-far"."""
+        if self.step is not None:
+            return "escaped"
+        return ("bounded-so-far" if self.nzt_step is None
+                else "near-zero-translation")
 
 
 def default_escape_radius(p: ParamSeq) -> float:
@@ -64,11 +74,9 @@ def default_escape_radius(p: ParamSeq) -> float:
 def iterate(z0: complex, p: ParamSeq, max_steps: int = 64,
             escape_radius: Optional[float] = None) -> OrbitRecord:
     """Iterate the map from z0 until escape or the step budget runs out."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     if escape_radius is None:
         escape_radius = default_escape_radius(p)
-    _kernels.check_escape_radius(p, escape_radius)
+    _kernels.check_orbit_budget(p, max_steps, escape_radius)
     # the kernels' escape test, |z|^2 > R^2 with R^2 rounded once
     esc2 = escape_radius * escape_radius
     points = [complex(z0)]
@@ -77,12 +85,9 @@ def iterate(z0: complex, p: ParamSeq, max_steps: int = 64,
     nzt_step = None
     for s in range(max_steps):
         z = points[-1]
-        hres = eval_h(z, p)
-        h = hres.value
-        if nzt_step is None and (isinstance(h, Zero) or (
-                isinstance(h, complex) and abs(h) < math.log(2.0))):
+        fres = eval_f(z, p, hres=eval_h(z, p))
+        if nzt_step is None and fres.near_zero:
             nzt_step = s
-        fres = eval_f(z, p, hres=hres)
         if isinstance(fres.value, LogComplex):
             tail = fres.value
             step = s + 1
@@ -92,13 +97,7 @@ def iterate(z0: complex, p: ParamSeq, max_steps: int = 64,
         if z1.real * z1.real + z1.imag * z1.imag > esc2:
             step = s + 1
             break
-    if step is not None:
-        status = "escaped"
-    elif nzt_step is not None:
-        status = "near-zero-translation"
-    else:
-        status = "bounded-so-far"
-    return OrbitRecord(points=points, tail=tail, status=status, step=step,
+    return OrbitRecord(points=points, tail=tail, step=step,
                        nzt_step=nzt_step, max_steps=max_steps)
 
 

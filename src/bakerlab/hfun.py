@@ -46,11 +46,16 @@ class EvalResult:
     trunc_bound bounds the relative error of the omitted product tail for
     every continuation r_{K+i} >= 2^i r_K, n_{K+i} >= K+i (`ring_log_max`);
     from |z| >= 2 r_K it is +inf.  `regime` and `unbounded_tail` (the keys
-    of `bakerlab eval`'s output) follow from these two fields.
+    of `bakerlab eval`'s output) follow from value and trunc_bound.
+    near_zero says that h at z is in the near-zero-translation regime,
+    |h| < ln 2, by the orbit classifier's test on the scalar core's
+    log-modulus (`_kernels.LOG_LN2`); f's result carries h's flag, since
+    f(z) - z = e^h.
     """
 
     value: Union[complex, Zero, LogComplex]
     trunc_bound: float
+    near_zero: bool
 
     def __post_init__(self):
         if not (self.trunc_bound >= 0.0):
@@ -138,7 +143,8 @@ def eval_h(z: complex, p: ParamSeq) -> EvalResult:
         value = complex(mod * math.cos(ag), mod * math.sin(ag))
     else:
         value = LogComplex(lm, ag)
-    return EvalResult(value, bound)
+    # a snapped zero has lm = -inf
+    return EvalResult(value, bound, lm < _kernels.LOG_LN2)
 
 
 def eval_f(z: complex, p: ParamSeq,
@@ -164,7 +170,7 @@ def eval_f(z: complex, p: ParamSeq,
                            if abs(h.imag) < ANGLE_MAX else None)
     else:
         value = z + cmath.exp(h)  # exp may underflow to 0, leaving f = z
-    return EvalResult(value, hres.trunc_bound)
+    return EvalResult(value, hres.trunc_bound, hres.near_zero)
 
 
 # the most zeros `stored_zeros` lists, over 100 times steep's 586; paper2's

@@ -183,15 +183,21 @@ def make_toy(profile: str) -> ParamSeq:
 
 
 def load_params(path: str | Path) -> ParamSeq:
-    """Load ``{"r": [...], "n": [...]}`` from a JSON file (n as exact integers)."""
+    """Load ``{"r": [...], "n": [...]}`` from a JSON file (n as exact integers).
+
+    r and n must be JSON arrays: a string would be read one character at a
+    time.
+    """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
     try:
-        r = tuple(float(x) for x in data["r"])
-        n = tuple(data["n"])
+        r, n = data["r"], data["n"]
+        if not (isinstance(r, list) and isinstance(n, list)):
+            raise TypeError("r and n must be arrays")
+        r = tuple(float(x) for x in r)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed parameter file {path}: {exc}") from exc
-    return ParamSeq(r=r, n=n)
+    return ParamSeq(r=r, n=tuple(n))
 
 
 def params_to_json(p: ParamSeq) -> str:

@@ -186,6 +186,9 @@ def obstruction_chain(p: ParamSeq, k: int, t_k: float, c: complex,
     c plays a hypothetical boundary point and K_bound the orbit-distance cap;
     every inequality is evaluated numerically and reported as an independent
     flag, so the report quantifies the squeeze rather than asserting it.
+    Raises OverflowError, naming dist_b and r_k, when dist_b or
+    rho_lower_3d would leave double range; a log|f(b_k)| of inf stays a
+    value, since f(b_k) is meant to be huge.
     """
     require_ring_index(p, k)
     if not 0.0 <= t_k < 1.0:
@@ -206,8 +209,16 @@ def obstruction_chain(p: ParamSeq, k: int, t_k: float, c: complex,
     # cancels catastrophically when n_k ~ 10^9)
     dist_a = 2.0 * r_k * abs(math.sin((1.0 - 2.0 * delta) * math.pi / (2 * n_k)))
     phi_d = TWO_PI * (pp.theta - delta) / n_k
-    dist_b = math.sqrt((s_k - r_k) ** 2
-                       + 4.0 * s_k * r_k * math.sin(0.5 * phi_d) ** 2)
+    try:
+        dist_b = math.sqrt((s_k - r_k) ** 2
+                           + 4.0 * s_k * r_k * math.sin(0.5 * phi_d) ** 2)
+    except OverflowError:  # a float ** raises where a product is inf
+        dist_b = math.inf
+    # the true dist_b is finite.  rho_lower_3d can overflow only through
+    # r_k * r_k, and then 4 s_k r_k >= 4 r_k^2 has already made dist_b inf
+    if not math.isfinite(dist_b):
+        raise OverflowError(f"obstruction chain: dist_b overflows at "
+                            f"r_k = {r_k!r}")
     radius_10 = 10.0 * r_k / n_k
 
     rho_ab = disk_distance(a_k, b_k, DiskSpec(z_k, 2.0 * radius_10))

@@ -168,6 +168,15 @@ def test_inadmissible_degrees_are_config_errors(capsys, tmp_path, argv, n):
     assert lines == [] and "error" in err
 
 
+def test_params_file_with_string_radii_is_config_error(capsys, tmp_path):
+    # a JSON string r = "48" used to load as the radii (4.0, 8.0), exit 0
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"r": "48", "n": [1, 2]}))
+    code, lines, err = run_cli(capsys, "params", "--params", str(path))
+    assert (code, lines) == (2, [])
+    assert err.startswith("error: malformed parameter file")
+
+
 @pytest.mark.parametrize("check", ["2b", "2c"])
 def test_overflowing_probe_radius_is_config_error(capsys, tmp_path, check):
     # s_2 = r_2 (1 + 1/n_2) is inf; the reports used to print NaN, exit 0
@@ -362,6 +371,17 @@ def test_obstruct_line_states_each_verdict_once(capsys, t):
         assert key not in rep
     assert hashlib.sha256(out.rstrip("\n").encode()).hexdigest() \
         == OBSTRUCT_DIGESTS[t]
+
+
+@pytest.mark.parametrize("r_2", ["1e+160", "1e+250"])
+def test_obstruct_overflow_is_config_error(capsys, tmp_path, r_2):
+    # 1e160 printed "dist_b": "inf" with exit 0, 1e250 a bare errno tuple
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"r": [1e150, {r_2}], "n": [1, {2**40}]}}')
+    code, lines, err = run_cli(capsys, "obstruct", "--params", str(path),
+                               "--k", "2", "--t", "0.3")
+    assert (code, lines) == (2, [])
+    assert err == f"error: obstruction chain: dist_b overflows at r_k = {r_2}\n"
 
 
 @pytest.mark.parametrize("profile", ["doubling", "paper2"])

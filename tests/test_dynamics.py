@@ -64,6 +64,14 @@ class TestIterate:
         assert rec.step is None
         assert len(rec.points) == 3
 
+    @pytest.mark.parametrize("run", [
+        lambda: iterate(0.0, DOUBLING, max_steps=0, escape_radius=1.0),
+        lambda: _kernels.classify_field([0.0], [0.0], DOUBLING, 0, 1.0),
+    ], ids=["iterate", "classify_field"])
+    def test_budget_is_checked_before_the_radius(self, run):
+        with pytest.raises(ValueError, match="^max_steps must be >= 1$"):
+            run()
+
     def test_default_escape_radius(self):
         assert default_escape_radius(DOUBLING) == 64.0
 
@@ -100,7 +108,47 @@ def _kernel_cell(rec):
     return STATUS_BOUNDED, 0
 
 
+def _level_set_starts(p, rng, rays):
+    # both ends of a bisection, from a stored zero along a seeded ray, onto
+    # the scalar core's |h| = ln 2 (its log|h| = LOG_LN2)
+    factors = _kernels.prepared(p)
+    below = (lambda z: _kernels._h_point(z.real, z.imag, factors)[1]
+             < _kernels.LOG_LN2)
+    starts = []
+    for _ in range(rays):
+        k = int(rng.integers(1, p.K + 1))
+        a = _stored_zero(p, k, int(rng.integers(0, p.n[k - 1])))
+        d = cmath.rect(p.r[k - 1] / p.n[k - 1], rng.uniform(0, 2 * math.pi))
+        while below(a + d):
+            d *= 2
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if below(a + mid * d) else (lo, mid)
+        starts += [a + lo * d, a + hi * d]
+    return starts
+
+
 class TestScalarKernelParity:
+    @pytest.mark.parametrize("name", ["doubling", "steep", "paper2"])
+    def test_near_zero_flag_matches_the_kernel_at_ln2(self, name):
+        # where the scalar core and h_field round log|h| alike, iterate sets
+        # the near-zero flag exactly where classify_field does
+        p = make_toy(name)
+        starts = _level_set_starts(p, np.random.default_rng(3), 200)
+        zx = np.array([z.real for z in starts])
+        zy = np.array([z.imag for z in starts])
+        _, lm, _ = _kernels.h_field(zx, zy, p)
+        factors = _kernels.prepared(p)
+        kept = [i for i, z in enumerate(starts)
+                if _kernels._h_point(z.real, z.imag, factors)[1] == lm[i]]
+        assert len(kept) > 250
+        status, _ = _kernels.classify_field(
+            zx[kept], zy[kept], p, 1, default_escape_radius(p))
+        flags = [iterate(starts[i], p, max_steps=1).nzt_step == 0
+                 for i in kept]
+        assert flags == (status & STATUS_NEAR_ZERO != 0).tolist()
+
     def test_statuses_and_steps_match_the_kernel(self):
         rng = np.random.default_rng(9)
         zx = rng.uniform(-20, 20, 120)

@@ -147,6 +147,22 @@ def test_load_params_accepts_unordered_keys(tmp_path):
     assert q.r == (2.0, 4.0) and q.n == (3, 9)
 
 
+@pytest.mark.parametrize("data", [
+    {"r": "48", "n": [1, 2]},  # read one character at a time: r = (4, 8)
+    {"r": [4.0, 8.0], "n": "12"},
+    {"r": {"4": 1}, "n": [1]},
+    {"r": 4.0, "n": [1]},
+    [[4.0], [1]],
+    {"r": [None, 4.0], "n": [1, 2]},
+], ids=["r-string", "n-string", "r-object", "r-number", "not-an-object",
+        "r-null"])
+def test_load_params_requires_arrays(tmp_path, data):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="malformed parameter file"):
+        load_params(path)
+
+
 def test_make_toy_profiles():
     assert make_toy("doubling").n == (2, 4, 8, 16)
     assert make_toy("steep").n == (2, 8, 64, 512)

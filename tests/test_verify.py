@@ -212,6 +212,24 @@ class TestObstructionChain:
         assert rep.rho_lower_3d is None
         assert not rep.link_flags["bound_3d_defined"]
 
+    @pytest.mark.parametrize("r_2", [1e160, 1e250])
+    def test_overflowing_chain_numbers_raise(self, r_2):
+        # the true dist_b and rho_3d (about 1/2 log r_2) are finite; 1e160
+        # used to report them as inf, 1e250 raised a bare errno tuple
+        p = ParamSeq((1e150, r_2), (1, 2**40))
+        with pytest.raises(OverflowError) as exc:
+            obstruction_chain(p, 2, 0.3, c=5.0 + 0j, K_bound=5.0)
+        assert str(exc.value) == \
+            f"obstruction chain: dist_b overflows at r_k = {r_2!r}"
+
+    def test_overflowing_f_b_stays_a_value(self):
+        # |h(b_k)| > e^700, so f(b_k) = z + e^h is LogComplex(inf, 0): that
+        # f(b_k) is huge is the chain's point, not an overflow to report
+        p = ParamSeq((2.0, 4.0, 8.0, 1e10), (2, 8, 64, 2**10))
+        rep = obstruction_chain(p, 4, 0.37, c=5.0 + 0j, K_bound=5.0)
+        assert rep.log_f_b == math.inf and rep.link_flags["f_b_large"]
+        assert math.isfinite(rep.dist_b)
+
     def test_ring_index_validated(self):
         with pytest.raises(ValueError):
             obstruction_chain(PAPER2, 1, 0.1, c=5.0, K_bound=5.0)
