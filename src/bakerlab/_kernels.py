@@ -9,8 +9,8 @@ floats and returns them.  Per-pixel results are independent of how the
 input is batched, which is what makes row-parallel and chunked callers
 deterministic across thread counts and chunk sizes.
 
-Each factor ``1 + w``, ``w = (z/r)^n``, has two regimes, split at
-``|log|w|| = FAR_EDGE``.  Near the ring, ``1 + w`` is summed in cartesian
+Each factor ``1 + w``, ``w = (z/r)^n``, has three regimes, split at
+``log|w| = +-FAR_EDGE``.  Near the ring, ``1 + w`` is summed in cartesian
 form, and only there is it tested for a snap to its exact zero
 (`factor_snap_eps`).  In the far field ``|w|`` or ``1/|w|`` is at most
 e^-50, so the factor cannot vanish; with ``v = e^{-|log|w||}`` one
@@ -18,17 +18,27 @@ e^-50, so the factor cannot vanish; with ``v = e^{-|log|w||}`` one
 a small w, and since ``1 + w = w (1 + 1/w)``, ``log(1 + w)`` is
 ``log|w| + Re L + i (arg w - Im L)`` for a big one.
 
-A far factor with ``|log|w|| > DEAD_EDGE`` is dead: ``v`` underflows to
-exactly 0, so ``L`` is ``+-0.0 + i (+-0.0)``.  A dead factor with a small
-w therefore adds +-0.0 to both accumulators, and one with a big w adds
-``(log|w|, arg w)`` up to the sign of a zero.  The accumulators start at
-+0.0 and never hold -0.0 (in round-to-nearest a sum is -0.0 only when
-both terms are), and ``x + (+-0.0)`` is ``x`` for every other x, so
-skipping a small dead factor, and adding ``(log|w|, arg w)`` for a big
-one, leaves every output bit as the full evaluation would.  A small dead
-factor needs no angle reduction either.  The scalar core skips per point;
-the vector path skips a factor in a batch only when it is dead on every
-point, so batches where no factor is wholly far pay no extra test.
+The factor step leaves out every term that provably rounds away, so each
+path writes the bytes its full formulas would:
+- the compensated product ``n arg z``: for a power-of-two n, ``n bh``,
+  ``n bl`` and ``n arg z`` are exact, so the low part ``(n bh - n arg z) +
+  n bl`` is exactly +0.0 (`_POW2`).  The reduction's ``q 2 pi``: an integral
+  ``|q| <= 2**26`` splits exactly as ``(q, +0.0)``, so the terms of its zero
+  half add +-0.0 to a sum that is never -0.0 (`_times_two_pi`);
+- the far field: ``|v (2 cos + v)| < 3 e^-50 < 2**-54``, so ``1 + v cos``
+  rounds to 1, ``log1p(x)`` to x and ``atan(y)`` to y, and ``L`` is ``(v
+  (cos + v/2), v sin)``.  Against ``log|w| >= 50``, whose half ulp is
+  2**-48, and ``arg w``, with ``|v sin| <= v |arg w| < 2**-54 |arg w|``,
+  ``L`` rounds away too: a big w adds exactly ``(log|w|, arg w)``.  A small
+  w's terms round away against sums at least ``_ROUND_AWAY v`` in size; the
+  vector path tests that for a whole batch, the scalar core per point;
+- a dead factor, ``|log|w|| > DEAD_EDGE``, is the extreme case: ``v``
+  underflows to exactly 0, so ``L`` is ``+-0.0 + i (+-0.0)``.  The vector
+  path leaves such points out of a small w's evaluation.
+The accumulators start at +0.0 and never hold -0.0 (in round-to-nearest a
+sum is -0.0 only when both terms are), and ``x + (+-0.0)`` is ``x`` for
+every other x, so a skipped factor, or a big w's ``arg w`` whose zero has
+the other sign, leaves every output bit as the full evaluation would.
 
 `_classify_numpy` writes the grid's encoding as its step loop decides it,
 into the two per-point arrays a grid stores: ``status``, two flags
@@ -43,9 +53,9 @@ factor snaps to its zero; wherever Re h << 0 an orbit creeps by about
 e^{Re h} a step and is settled long before its budget runs out.  Both
 exits are exact: every byte is what the full step loop would write.
 
-`_h_field_numpy` splits ``arg z`` once per call for every factor's
-compensated product, and evaluates each regime on its own points; a
-regime that holds every point is evaluated on whole-array views, without
+`_h_field_numpy` splits ``arg z`` once per call if some degree needs the
+general compensated product, and evaluates each regime on its own points;
+a regime that holds every point is evaluated on whole-array views, without
 gathers or scatters.
 
 The compensated angle multiplication is exact only for degrees
@@ -88,6 +98,10 @@ FAR_EDGE = 50.0
 # a far factor with |log|w|| > DEAD_EDGE is dead: e^-|log|w|| underflows to
 # exactly 0 in libm and in numpy, so the factor is exactly 1 or exactly w
 DEAD_EDGE = 760.0
+# a far factor with a small w adds terms below 1.01 v, v = e^log|w|, to the
+# sums; they round away against a sum s with |s| >= _ROUND_AWAY v, since half
+# an ulp of s exceeds 2**-54 |s| >= 2 v, and the 2 also covers an ulp of exp
+_ROUND_AWAY = 2.0 ** 55
 
 
 def factor_snap_eps(n: int) -> float:
@@ -127,13 +141,16 @@ def _split_prod(a, b, bh, bl):
     # already split into (bh, bl), so a caller that multiplies one b by many
     # a splits it once; works elementwise on arrays too.  Kernel output bytes
     # depend on the order of these operations.  For n*arg z the product is
-    # exact only for the rounded atan2 output, and it stays for three
-    # reasons: on 150 seed-3 points within 3 r_2/n_2 of paper2's ring 2 it
-    # halves the worst angle error against the mpmath oracle (3.7e-7
-    # against 7.5e-7 for a plain n*arg z); for power-of-two degrees
-    # (doubling, steep) n*arg z is exact, lo is 0 and the time is not
-    # measurably different; and without it the mid and big paper2 phase
-    # portraits that perfbench/digests.json pins change bytes.
+    # exact only for the rounded atan2 output, and it stays for two reasons:
+    # on 150 seed-3 points within 3 r_2/n_2 of paper2's ring 2 it halves the
+    # worst angle error against the mpmath oracle (3.7e-7 against 7.5e-7 for
+    # a plain n*arg z); and without it the mid and big paper2 phase portraits
+    # that perfbench/digests.json pins change bytes.  For power-of-two degrees
+    # (doubling, steep) lo is exactly +0.0, and the kernels skip the product
+    # there (`_POW2`): that cut h_field's CPU time on the six seed-0 doubling
+    # and steep phase jobs by 16 to 20 % (0.302 to 0.255 s and 0.346 to
+    # 0.278 s, medians of two sessions of 7 alternating rounds, x86-64,
+    # numpy 2.4; BENCH_exact_factor_step.json).
     hi = a * b
     ah, al = _split(a)
     return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
@@ -141,7 +158,21 @@ def _split_prod(a, b, bh, bl):
 
 # the Veltkamp halves of the double TWO_PI (its double-double tail is
 # _TWO_PI_LO), for every q * TWO_PI of the angle reductions
-_TWO_PI_SPLIT = _split(TWO_PI)
+_TWO_PI_BH, _TWO_PI_BL = _split(TWO_PI)
+# degrees whose compensated product with arg z has a low part of exactly +0.0
+_POW2 = frozenset(2.0 ** k for k in range(53))
+# a reduction quotient with |q| <= 2**26 splits exactly as (q, +0.0)
+_Q_SPLIT_EXACT = 2 ** 26
+
+
+def _times_two_pi(q, small):
+    # `_split_prod(q, TWO_PI, ...)` for an integral q; when ``small`` says
+    # |q| <= _Q_SPLIT_EXACT its al terms add +-0.0 to a sum that is never
+    # -0.0, so they are left out
+    if small:
+        ph = q * TWO_PI
+        return ph, (q * _TWO_PI_BH - ph) + q * _TWO_PI_BL
+    return _split_prod(q, TWO_PI, _TWO_PI_BH, _TWO_PI_BL)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +192,7 @@ def wrap_angle(a: float) -> float:
 def _reduce_dd(hi: float, lo: float) -> float:
     # reduce hi+lo mod 2*pi into (-pi, pi]; valid while |hi| < 2**53 * 2*pi
     q = round(hi / TWO_PI)
-    ph, pl = _split_prod(q, TWO_PI, *_TWO_PI_SPLIT)
+    ph, pl = _times_two_pi(q, -_Q_SPLIT_EXACT <= q <= _Q_SPLIT_EXACT)
     return wrap_angle(((hi - ph) + lo) - pl - q * _TWO_PI_LO)
 
 
@@ -171,26 +202,26 @@ def _h_point(zx, zy, factors):
         return False, 0.0, 0.0
     lmz = math.log(math.hypot(zx, zy))
     agz = math.atan2(zy, zx)
-    agh, agl = _split(agz)
     acc_lm = 0.0
     acc_ag = 0.0
     for n, logr, eps in factors:
         wlm = n * (lmz - logr)
-        if wlm < -DEAD_EDGE:
-            continue  # the factor is exactly 1
+        if wlm <= -FAR_EDGE:
+            # the factor is exactly 1 where its terms round away
+            bound = _ROUND_AWAY * math.exp(wlm)
+            if bound <= abs(acc_lm) and bound <= abs(acc_ag):
+                continue
         # compensated n*arg, then mod 2*pi
-        hi, lo = _split_prod(n, agz, agh, agl)
+        hi, lo = ((n * agz, 0.0) if n in _POW2
+                  else _split_prod(n, agz, *_split(agz)))
         wag = _reduce_dd(hi, lo)
-        if wlm > DEAD_EDGE:
+        if wlm >= FAR_EDGE:
             lm, ag = wlm, wag  # the factor is exactly w
-        elif abs(wlm) >= FAR_EDGE:
-            v = math.exp(-abs(wlm))
-            lm = 0.5 * math.log1p(v * (2.0 * math.cos(wag) + v))
-            ag = math.atan2(v * math.sin(wag), 1.0 + v * math.cos(wag))
-            if wlm > 0.0:
-                # 1 + w = w (1 + 1/w)
-                lm += wlm
-                ag = wrap_angle(wag - ag)
+        elif wlm <= -FAR_EDGE:
+            v = math.exp(wlm)
+            # log1p(x) == x and atan2(y, 1 + v cos) == y this far out
+            lm = 0.5 * (v * (2.0 * math.cos(wag) + v))
+            ag = v * math.sin(wag)
         elif abs(wlm) <= eps and (math.pi - abs(wag)) <= eps:
             return True, -math.inf, 0.0
         else:
@@ -210,17 +241,30 @@ def _h_point(zx, zy, factors):
 
 
 def _wrap_np(a):
-    # in place: values just past +-pi back into (-pi, pi]
-    a[a > math.pi] -= TWO_PI
-    a[a <= -math.pi] += TWO_PI
+    # values just past +-pi back into (-pi, pi], as a new array or ``a``
+    # itself; a side runs only if some value needs it (fmax and fmin skip
+    # NaN), and branch-free, since the sums of two angles need it often
+    if np.fmax.reduce(a, initial=-math.inf) > math.pi:
+        a = np.where(a > math.pi, a - TWO_PI, a)
+    if np.fmin.reduce(a, initial=math.inf) <= -math.pi:
+        a = np.where(a <= -math.pi, a + TWO_PI, a)
+    return a
 
 
-def _reduce_np(x, lo=0.0):
-    q = np.rint(x / TWO_PI)
-    ph, pl = _split_prod(q, TWO_PI, *_TWO_PI_SPLIT)
-    r = ((x - ph) + lo) - pl - q * _TWO_PI_LO
-    _wrap_np(r)
-    return r
+def _reduce_np(x, lo=None):
+    # `_reduce_dd` on arrays; no ``lo`` stands for +0.0, whose sum with
+    # x - ph, never -0.0, is x - ph
+    q = x / TWO_PI
+    np.rint(q, out=q)
+    # NaN fails the bound and takes the general product
+    ph, pl = _times_two_pi(q, (q.max(initial=0.0) <= _Q_SPLIT_EXACT
+                               and q.min(initial=0.0) >= -_Q_SPLIT_EXACT))
+    r = x - ph
+    if lo is not None:
+        r += lo
+    r -= pl
+    r -= q * _TWO_PI_LO
+    return _wrap_np(r)
 
 
 _ALL = slice(None)
@@ -236,65 +280,61 @@ def _select(mask):
 
 
 def _h_field_numpy(zx, zy, factors):
-    # each factor's two regimes are evaluated on their own points and added
-    # to the sums there
+    # each factor's three regimes are evaluated on their own points and
+    # added to the sums there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # -inf at the origin, where every factor is in the far field with
         # a small w and adds +-0.0 to the +0.0 accumulators, so h(0) is +0.0
         lmz = np.log(np.hypot(zx, zy))
         agz = np.arctan2(zy, zx)
-        agh, agl = _split(agz)
+        split = (None if all(row[0] in _POW2 for row in factors)
+                 else _split(agz))
         acc_lm = np.zeros_like(zx)
         acc_ag = np.zeros_like(zx)
         zero = np.zeros(zx.shape, dtype=bool)
         for n, logr, eps in factors:
             wlm = n * (lmz - logr)
-            awlm = np.abs(wlm)
-            far = awlm >= FAR_EDGE
-            sel = _select(far)
-            # dead on every point: the min() pass runs only for a factor far
-            # on every point, and a factor dead on some points only is
-            # evaluated in full
-            if sel is _ALL and awlm.min() > DEAD_EDGE:
-                small = wlm < 0.0
-                if small.all():
-                    continue  # the factor is exactly 1
-                hi, lo = _split_prod(n, agz, agh, agl)
-                acc_lm += np.where(small, 0.0, wlm)
-                acc_ag += np.where(small, 0.0, _reduce_np(hi, lo))
-                _wrap_np(acc_ag)
-                continue
-            hi, lo = _split_prod(n, agz, agh, agl)
-            wag = _reduce_np(hi, lo)
-            cw = np.cos(wag)
-            sw = np.sin(wag)
+            top = wlm.max(initial=-math.inf)
+            if top <= -FAR_EDGE:
+                # small w on every point (none NaN): the factor is exactly 1
+                # if its terms round away on all of them (or there are none)
+                bound = _ROUND_AWAY * math.exp(top)
+                if bound == 0.0 or (bound <= np.abs(acc_lm).min()
+                                    and bound <= np.abs(acc_ag).min()):
+                    continue
+            # compensated n*arg, then mod 2*pi
+            wag = (_reduce_np(n * agz) if n in _POW2
+                   else _reduce_np(*_split_prod(n, agz, *split)))
+            sel = _select(wlm >= FAR_EDGE)
             if sel is not None:
-                v = np.exp(-awlm[sel])
-                c = cw[sel]
-                lm = 0.5 * np.log1p(v * (2.0 * c + v))
-                ag = np.arctan2(v * sw[sel], 1.0 + v * c)
-                w = wlm[sel]
-                big = _select(w > 0.0)
-                if big is not None:
-                    # 1 + w = w (1 + 1/w)
-                    lm[big] += w[big]
-                    a = wag[sel][big] - ag[big]
-                    _wrap_np(a)
-                    ag[big] = a
-                acc_lm[sel] += lm
-                acc_ag[sel] += ag
-            sel = _select(~far)
+                # big w: the factor is exactly w
+                acc_lm[sel] += wlm[sel]
+                acc_ag[sel] += wag[sel]
+            # small w, dead points left out: the factor is exactly 1 there
+            sel = _select((wlm <= -FAR_EDGE) & (wlm >= -DEAD_EDGE))
+            if sel is not None:
+                v = np.exp(wlm[sel])
+                a = wag[sel]
+                # log1p(x) == x and atan2(y, 1 + v cos) == y this far out
+                acc_lm[sel] += 0.5 * (v * (2.0 * np.cos(a) + v))
+                acc_ag[sel] += v * np.sin(a)
+            awlm = np.abs(wlm)
+            sel = _select(~(awlm >= FAR_EDGE))  # NaN too
             if sel is not None:
                 m = np.exp(wlm[sel])
-                x = 1.0 + m * cw[sel]
-                y = m * sw[sel]
+                a = wag[sel]
+                x = 1.0 + m * np.cos(a)
+                y = m * np.sin(a)
                 # snapped to the factor's zero
                 zero[sel] |= ((awlm[sel] <= eps)
-                              & ((math.pi - np.abs(wag[sel])) <= eps))
+                              & ((math.pi - np.abs(a)) <= eps))
                 acc_lm[sel] += np.log(np.hypot(x, y))
                 acc_ag[sel] += np.arctan2(y, x)
-            _wrap_np(acc_ag)
+            acc_ag = _wrap_np(acc_ag)
 
+    # a NaN angle, from a NaN coordinate, makes log|h| NaN too: the step of
+    # a big w, exactly w, does not read the angle
+    acc_lm[np.isnan(acc_ag)] = np.nan
     acc_lm[zero] = -np.inf
     acc_ag[zero] = 0.0
     return zero, acc_lm, acc_ag

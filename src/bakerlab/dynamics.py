@@ -64,6 +64,16 @@ class OrbitRecord:
         return ("bounded-so-far" if self.nzt_step is None
                 else "near-zero-translation")
 
+    @property
+    def cell(self) -> tuple[int, int]:
+        """The grid's ``(status, step)`` for this orbit, as `classify_field`
+        writes it: the near-zero flag, joined by the escaped flag and the
+        escape step once step is set; else the near-zero step, or 0."""
+        flags = STATUS_BOUNDED if self.nzt_step is None else STATUS_NEAR_ZERO
+        if self.step is not None:
+            return flags | STATUS_ESCAPED, self.step
+        return flags, self.nzt_step or 0
+
 
 def default_escape_radius(p: ParamSeq) -> float:
     # heuristic: beyond the last ring the truncated product is dominated by

@@ -186,7 +186,8 @@ def load_params(path: str | Path) -> ParamSeq:
     """Load ``{"r": [...], "n": [...]}`` from a JSON file (n as exact integers).
 
     r and n must be JSON arrays: a string would be read one character at a
-    time.
+    time.  Each radius must be a JSON number; a string or a boolean is
+    rejected, as it is for a degree.
     """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
@@ -194,6 +195,9 @@ def load_params(path: str | Path) -> ParamSeq:
         r, n = data["r"], data["n"]
         if not (isinstance(r, list) and isinstance(n, list)):
             raise TypeError("r and n must be arrays")
+        for k, x in enumerate(r, start=1):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise TypeError(f"radius r_{k}={x!r} is not a number")
         r = tuple(float(x) for x in r)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed parameter file {path}: {exc}") from exc

@@ -177,6 +177,21 @@ def test_params_file_with_string_radii_is_config_error(capsys, tmp_path):
     assert err.startswith("error: malformed parameter file")
 
 
+@pytest.mark.parametrize("r, element", [
+    (["4", "8e0"], "r_1='4'"),
+    ([True, 8], "r_1=True"),
+], ids=["string", "bool"])
+def test_params_file_with_non_number_radius_is_config_error(
+        capsys, tmp_path, r, element):
+    # both used to load, as (4.0, 8.0) and (1.0, 8.0), with exit 0
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"r": r, "n": [1, 2]}))
+    code, lines, err = run_cli(capsys, "params", "--params", str(path))
+    assert (code, lines) == (2, [])
+    assert err.startswith("error: malformed parameter file")
+    assert f"radius {element} is not a number" in err
+
+
 @pytest.mark.parametrize("check", ["2b", "2c"])
 def test_overflowing_probe_radius_is_config_error(capsys, tmp_path, check):
     # s_2 = r_2 (1 + 1/n_2) is inf; the reports used to print NaN, exit 0

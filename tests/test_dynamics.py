@@ -96,16 +96,16 @@ class TestIterate:
                                 rec.nzt_step)).encode())
         assert digest.hexdigest() == self.ORBIT_DIGESTS[name]
 
-
-def _kernel_cell(rec):
-    # the (status, step) cell the batch kernels give the orbit iterate found
-    if rec.status == "escaped":
-        nzt_before = rec.nzt_step is not None and rec.nzt_step < rec.step
-        return (STATUS_ESCAPED_AFTER_NEAR_ZERO if nzt_before
-                else STATUS_ESCAPED), rec.step
-    if rec.status == "near-zero-translation":
-        return STATUS_NEAR_ZERO, rec.nzt_step
-    return STATUS_BOUNDED, 0
+    @pytest.mark.parametrize("step, nzt_step, cell", [
+        (None, None, (STATUS_BOUNDED, 0)),
+        (None, 3, (STATUS_NEAR_ZERO, 3)),
+        (5, None, (STATUS_ESCAPED, 5)),
+        (5, 0, (STATUS_ESCAPED_AFTER_NEAR_ZERO, 5)),
+    ], ids=["bounded", "near-zero", "escaped", "escaped-after-near-zero"])
+    def test_cell_is_the_grid_encoding(self, step, nzt_step, cell):
+        rec = dynamics.OrbitRecord(points=[0j], tail=None, step=step,
+                                   nzt_step=nzt_step, max_steps=8)
+        assert rec.cell == cell
 
 
 def _level_set_starts(p, rng, rays):
@@ -157,7 +157,7 @@ class TestScalarKernelParity:
         for x, y, s, t in zip(zx, zy, status, step):
             rec = iterate(complex(x, y), DOUBLING, max_steps=30,
                           escape_radius=64.0)
-            assert (s, t) == _kernel_cell(rec), (x, y)
+            assert (s, t) == rec.cell, (x, y)
 
     @pytest.mark.parametrize("name", ["doubling", "steep", "paper2"])
     def test_every_profile_matches_the_kernel(self, name):
@@ -168,7 +168,7 @@ class TestScalarKernelParity:
         status, step = _kernels.classify_field(zx, zy, p, 40, 64.0)
         for x, y, s, t in zip(zx, zy, status, step):
             rec = iterate(complex(x, y), p, max_steps=40, escape_radius=64.0)
-            assert (s, t) == _kernel_cell(rec), (x, y)
+            assert (s, t) == rec.cell, (x, y)
 
     @pytest.mark.parametrize("p, z, steps, radius, cell", [
         pytest.param(TINY_H, TINY_H_Z, 2, 10.0, (STATUS_NEAR_ZERO, 0),
@@ -190,7 +190,7 @@ class TestScalarKernelParity:
                                                radius)
         assert (status[0], step[0]) == cell
         rec = iterate(z, p, max_steps=steps, escape_radius=radius)
-        assert _kernel_cell(rec) == cell
+        assert rec.cell == cell
 
     @pytest.mark.parametrize("rect, p, steps", [
         ((-8 - 8j, 8 + 8j), DOUBLING, 40),  # the canonical grid
@@ -217,7 +217,7 @@ class TestScalarKernelParity:
         for z, m in starts:
             cell = _kernels.classify_field([z.real], [z.imag], p, m, 64.0)
             rec = iterate(z, p, max_steps=m, escape_radius=64.0)
-            assert (cell[0][0], cell[1][0]) == _kernel_cell(rec), (z, m)
+            assert (cell[0][0], cell[1][0]) == rec.cell, (z, m)
         assert states == starts  # each one retired at its step 0
 
     def test_tiny_h_is_a_unit_translation(self):
@@ -236,7 +236,7 @@ class TestScalarKernelParity:
             for i, x in enumerate(xs):
                 rec = iterate(complex(x, y), DOUBLING, max_steps=40,
                               escape_radius=64.0)
-                assert (g.status[j, i], g.step[j, i]) == _kernel_cell(rec), (x, y)
+                assert (g.status[j, i], g.step[j, i]) == rec.cell, (x, y)
                 pts = rec.points
                 frozen_flagged += (rec.status == "near-zero-translation"
                                    and pts[-1] == pts[-2])

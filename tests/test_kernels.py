@@ -605,3 +605,196 @@ def test_certificate_charges_the_rounding_of_h():
     # (300 T' |h| = 0.15) and |h| = 1500 (0.77, above the 1/2 allowed)
     assert _settled_at("paper2", 4 + 0j, math.log(300.0), -600.0, True, 1)
     assert not _settled_at("paper2", 4 + 0j, math.log(1500.0), -600.0, True, 1)
+
+
+# ---------------------------------------------------------------------------
+# exact shortcuts of the factor step: each premise bitwise against the full
+# formula, on built-in floats and on numpy arrays
+# ---------------------------------------------------------------------------
+
+TWO_PI = _kernels.TWO_PI
+# a profile whose every degree needs the general compensated product
+ODD_DEGREES = ParamSeq(r=(2.0, 4.0, 8.0), n=(3, 6, 40))
+# SHA-256 of both h paths on `_regime_points(ODD_DEGREES)`, recorded before
+# the shortcuts were added
+ODD_DEGREE_DIGESTS = {
+    "numpy": "f9713ae1e5dd2a0d90bfa756f23d16d987217a4b9f2e30eca2d3fa483239a751",
+    "loop": "eac01dcdd6925886114d23649bea17f1444f6afc223cf4709c6165659bfca745",
+}
+
+
+def _bits(*values):
+    # the float64 bit patterns, so that -0.0 and +0.0 differ
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+_SPLIT_PROD = _kernels._split_prod
+
+
+def _full_reduce(hi, lo):
+    # `_reduce_dd`'s formula with the general product for every q
+    q = round(hi / TWO_PI)
+    ph, pl = _SPLIT_PROD(q, TWO_PI, *_kernels._split(TWO_PI))
+    return _kernels.wrap_angle(((hi - ph) + lo) - pl - q * _kernels._TWO_PI_LO)
+
+
+def test_pow2_degrees_have_a_plus_zero_low_part():
+    tiny = [5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]
+    rng = np.random.default_rng(5)
+    angles = ([0.0, -0.0, math.pi, -math.pi] + tiny
+              + rng.uniform(-math.pi, math.pi, 200).tolist())
+    arr = np.array(angles)
+    assert len(_kernels._POW2) == 53
+    for n in sorted(_kernels._POW2):
+        assert math.frexp(n)[0] == 0.5  # a power of two
+        for a in angles:
+            hi, lo = _kernels._split_prod(n, a, *_kernels._split(a))
+            assert _bits(hi, lo) == _bits(n * a, 0.0)
+        hi, lo = _kernels._split_prod(n, arr, *_kernels._split(arr))
+        assert _bits(hi, lo) == _bits(n * arr, np.zeros_like(arr))
+    # doubling and steep take the shortcut on every factor, paper2 on n_1
+    assert {float(n) for name in ("doubling", "steep")
+            for n in make_toy(name).n} <= _kernels._POW2
+    assert [float(n) in _kernels._POW2 for n in make_toy("paper2").n] == [
+        True, False]
+
+
+@pytest.mark.parametrize("q", [0.0, -0.0, 1.0, -3.0, 2.0 ** 26, -2.0 ** 26])
+def test_short_two_pi_product_matches_split_prod(q):
+    # `_reduce_dd` holds q as an int, `_reduce_np` as a float array
+    for held in (q, int(q), np.array([q])):
+        full = _kernels._split_prod(held, TWO_PI, *_kernels._split(TWO_PI))
+        assert _bits(*_kernels._times_two_pi(held, True)) == _bits(*full)
+
+
+def test_short_two_pi_product_needs_its_bound():
+    # past 2**26 the split of q has a low part; at 2**28 - 1 the short
+    # product is off
+    q = 2.0 ** 28 - 1.0
+    full = _kernels._split_prod(q, TWO_PI, *_kernels._split(TWO_PI))
+    assert _bits(*_kernels._times_two_pi(q, True)) != _bits(*full)
+
+
+def test_reduction_falls_back_past_the_short_quotient(monkeypatch):
+    general = []
+
+    def spying(a, *args):
+        general.append(np.abs(a).max())
+        return _SPLIT_PROD(a, *args)
+
+    monkeypatch.setattr(_kernels, "_split_prod", spying)
+    for q in (2 ** 26, 2 ** 26 + 1):
+        for hi in (q * TWO_PI + 0.25, -q * TWO_PI - 3.0):
+            want = _full_reduce(hi, 1e-9)
+            assert _bits(_kernels._reduce_dd(hi, 1e-9)) == _bits(want)
+            assert _bits(_kernels._reduce_np(np.array([hi]), 1e-9)) == _bits(
+                [want])
+    assert general == [2 ** 26 + 1] * 4
+    # NaN fails the bound, so the whole array takes the general product
+    _kernels._reduce_np(np.array([1.0, math.nan]))
+    assert len(general) == 5 and math.isnan(general[-1])
+
+
+def test_far_field_log1p_and_atan2_return_their_argument():
+    # with v = e^-|log|w|| and x = v (2 cos + v), log1p(x) rounds to x and
+    # atan2(v sin, 1 + v cos) to v sin, in libm and in numpy
+    rng = np.random.default_rng(23)
+    wlm = np.concatenate([[FAR, _kernels.DEAD_EDGE],
+                          rng.uniform(FAR, _kernels.DEAD_EDGE, 20000)])
+    wag = np.concatenate([[0.0, -0.0, math.pi, -math.pi],
+                          rng.uniform(-math.pi, math.pi, wlm.size - 4)])
+    v, c, s = np.exp(-wlm), np.cos(wag), np.sin(wag)
+    x, y = v * (2.0 * c + v), v * s
+    assert _bits(np.log1p(x)) == _bits(x)
+    assert _bits(np.arctan2(y, 1.0 + v * c)) == _bits(y)
+    for w, a in zip(wlm.tolist(), wag.tolist()):
+        v, c, s = math.exp(-w), math.cos(a), math.sin(a)
+        x, y = v * (2.0 * c + v), v * s
+        assert _bits(math.log1p(x), math.atan2(y, 1.0 + v * c)) == _bits(x, y)
+
+
+def test_far_edge_keeps_the_dropped_terms_below_half_an_ulp():
+    # |x| < 3v and |v cos| < 3v: below 2**-54, 1 + v cos rounds to 1 and
+    # log1p(x) = x (1 - x/2 + ...) and atan(y) = y (1 - y^2/3 + ...) round
+    # to their first term
+    assert 3.0 * math.exp(-FAR) < 2.0 ** -54
+
+
+def _far_angles(rng, size):
+    # reduced angles, in (-pi, pi]: zeros, both ends, tiny and subnormal
+    # ones, then seeded ones
+    fixed = [0.0, -0.0, math.pi, math.nextafter(-math.pi, 0.0), 1e-300,
+             -5e-324, 3e-9]
+    return np.concatenate([fixed, rng.uniform(-math.pi, math.pi,
+                                              size - len(fixed))])
+
+
+def test_big_far_factor_adds_exactly_w():
+    # log(1 + w) = log|w| + L' with L' = (0.5 log1p(x), -atan2(y, 1 + v c)):
+    # both parts round away against log|w| >= FAR_EDGE and arg w, which
+    # keeps its bits up to the sign of a zero, lost in the +0.0 sums
+    rng = np.random.default_rng(29)
+    wlm = np.concatenate([[FAR, _kernels.DEAD_EDGE],
+                          rng.uniform(FAR, _kernels.DEAD_EDGE + 50.0, 20000)])
+    wag = _far_angles(rng, wlm.size)
+    v, c, s = np.exp(-wlm), np.cos(wag), np.sin(wag)
+    lm = 0.5 * np.log1p(v * (2.0 * c + v)) + wlm
+    ag = _kernels._wrap_np(wag - np.arctan2(v * s, 1.0 + v * c))
+    assert _bits(lm, 0.0 + ag) == _bits(wlm, 0.0 + wag)
+    assert _bits(ag[wag != 0.0]) == _bits(wag[wag != 0.0])
+    for w, a in zip(wlm.tolist(), wag.tolist()):
+        v, c, s = math.exp(-w), math.cos(a), math.sin(a)
+        lm = 0.5 * math.log1p(v * (2.0 * c + v)) + w
+        ag = _kernels.wrap_angle(a - math.atan2(v * s, 1.0 + v * c))
+        assert _bits(lm, 0.0 + ag) == _bits(w, 0.0 + a)
+
+
+def test_small_far_terms_round_away_against_large_sums():
+    # with |sum| >= _ROUND_AWAY v both terms of a small w leave the sum's
+    # bits, also at a power of two, where half an ulp below is smallest
+    rng = np.random.default_rng(31)
+    wlm = rng.uniform(-740.0, -FAR, 20000)  # v stays nonzero
+    wag = _far_angles(rng, wlm.size)
+    v = np.exp(wlm)
+    lm, ag = 0.5 * (v * (2.0 * np.cos(wag) + v)), v * np.sin(wag)
+    floor = _kernels._ROUND_AWAY * v
+    sign = rng.choice([-1.0, 1.0], v.size)
+    for total in (floor, 2.0 ** np.ceil(np.log2(floor)),
+                  floor * rng.uniform(1.0, 1e6, v.size)):
+        total = sign * total
+        assert _bits(total + lm, total + ag) == _bits(total, total)
+        for t, a, b in zip(total[:2000].tolist(), lm.tolist(), ag.tolist()):
+            assert _bits(t + a, t + b) == _bits(t, t)
+    # far below the bound the terms do move the sums
+    near = sign * 2.0 ** np.floor(np.log2(floor / 2.0 ** 6))
+    assert (near + lm != near).any() and (near + ag != near).any()
+
+
+def test_empty_batches_evaluate():
+    empty = np.array([])
+    for p in PROFILES:
+        assert [a.size for a in _kernels.h_field(empty, empty, p)] == [0] * 3
+    assert _kernels._reduce_np(empty).size == 0
+
+
+def test_nan_angle_leaves_logmod_nan():
+    # hypot(inf, nan) is inf, so log|w| is +inf and w big on every factor,
+    # while arg z is NaN: log|h| is NaN as the full far formula made it
+    inf, nan = math.inf, math.nan
+    zx, zy = np.array([inf, nan, -inf]), np.array([nan, -inf, nan])
+    for p in PROFILES:
+        with np.errstate(invalid="ignore"):
+            code, lm, ag = _kernels.h_field(zx, zy, p)
+        assert np.isnan(lm).all() and np.isnan(ag).all() and not code.any()
+
+
+@pytest.mark.parametrize("path", sorted(ODD_DEGREE_DIGESTS))
+def test_odd_degree_field_bytes_are_pinned(path):
+    zx, zy = _regime_points(ODD_DEGREES)
+    if path == "loop":
+        field = _loop_field(zx, zy, ODD_DEGREES)
+    else:
+        field = _kernels._h_field_numpy(zx, zy,
+                                        _kernels.prepared(ODD_DEGREES))
+    assert field[0][-3:].tolist() == [0, 1, 1]
+    assert _sha(*field) == ODD_DEGREE_DIGESTS[path]

@@ -163,6 +163,26 @@ def test_load_params_requires_arrays(tmp_path, data):
         load_params(path)
 
 
+@pytest.mark.parametrize("data, element", [
+    ({"r": ["4", "8e0"], "n": [1, 2]}, "r_1='4'"),
+    ({"r": [2.0, "8e0"], "n": [1, 2]}, "r_2='8e0'"),
+    ({"r": [True, 8], "n": [1, 2]}, "r_1=True"),
+], ids=["string", "second-string", "bool"])
+def test_load_params_requires_number_radii(tmp_path, data, element):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="malformed parameter file") as info:
+        load_params(path)
+    assert f"radius {element} is not a number" in str(info.value)
+
+
+def test_load_params_takes_int_and_float_radii(tmp_path):
+    path = tmp_path / "seq.json"
+    path.write_text('{"r": [2, 8.5e0], "n": [1, 2]}')
+    q = load_params(path)
+    assert q.r == (2.0, 8.5) and [type(x) for x in q.r] == [float, float]
+
+
 def test_make_toy_profiles():
     assert make_toy("doubling").n == (2, 4, 8, 16)
     assert make_toy("steep").n == (2, 8, 64, 512)

@@ -1,12 +1,16 @@
 """Static checks on the source tree: the traced benchmark run wraps library
 functions by module and name (`perfbench/tracing.py`), so every name it lists
-must still exist; no module keeps an import it does not use; and no comment
-or string cites a ROADMAP item by number, since the items are renumbered."""
+must still exist; no module keeps an import it does not use; no comment
+or string cites a ROADMAP item by number, since the items are renumbered;
+and every committed BENCH file records what its claim rests on."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import math
 import re
+import statistics
 import tokenize
 from pathlib import Path
 
@@ -158,3 +162,42 @@ def test_no_unread_private_functions():
               and not any(node.name in reads for other, reads in stmts
                           if other is not node)]
     assert unread == []
+
+
+def test_bench_files_record_machine_command_and_every_metric():
+    # each BENCH_*.json at the root records the machine, the command and,
+    # per workload, every end-to-end metric of BENCHMARK.json with the
+    # parent's and the change's runs, one per pair, and their median to 6
+    # decimals (a median of two runs may end in a 5 at the 7th, rounded
+    # either way, and a large one carries a few ulps of its own)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    workloads = {w["name"] for w in spec["workloads"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    problems = []
+    for path in paths:
+        data = json.loads(path.read_text())
+        machine = data.get("machine", {})
+        problems += [f"{path.name}: machine.{key}" for key in
+                     ("cpus", "python", "numpy", "numba", "backend")
+                     if key not in machine]
+        if not (isinstance(data.get("command"), str) and data["command"]):
+            problems.append(f"{path.name}: command")
+        runs_of = data.get("workloads") or {}
+        if not runs_of or not set(runs_of) <= workloads:
+            problems.append(f"{path.name}: workloads {sorted(runs_of)}")
+        for name, w in runs_of.items():
+            for metric in metrics:
+                for side in ("parent", "change"):
+                    where = f"{path.name}: {name}.{metric}.{side}"
+                    rec = w.get("metrics", {}).get(metric, {}).get(side)
+                    if rec is None:
+                        problems.append(where)
+                    elif len(rec["runs"]) != w["pairs"]:
+                        problems.append(f"{where}: {len(rec['runs'])} runs")
+                    elif abs(statistics.median(rec["runs"])
+                             - rec["median"]) > 0.5e-6 + 4 * math.ulp(
+                                 rec["median"]):
+                        problems.append(f"{where}: median")
+    assert problems == []
