@@ -138,8 +138,10 @@ def axis_coords(lo: float, hi: float, n: int) -> np.ndarray:
     """n sample coordinates spanning [lo, hi] via a centered affine map.
 
     The offsets are exactly antisymmetric, so an axis symmetric about 0
-    yields exactly negated coordinate pairs (this is what makes mirror
-    symmetry of renders bit-exact).
+    yields exactly negated coordinate pairs (and 0.0 in the middle of an
+    odd count).  `render.render_phase` mirrors the rows of such an axis
+    instead of evaluating them; the `render` module docstring gives the
+    rule and where |arg h| is not exactly odd.
     """
     if n < 1:
         raise ValueError("axis size must be >= 1")
@@ -160,7 +162,8 @@ CLASSIFY_CHUNK = 65536
 
 
 def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
-                  threads: int, chunk: int, chunk_fn) -> None:
+                  threads: int, chunk: int, chunk_fn,
+                  rows: Optional[int] = None) -> None:
     """Sample rect on an nx-by-ny pixel grid and evaluate it in chunks.
 
     rect is any two opposite corners; a degenerate rectangle collapses to a
@@ -168,9 +171,11 @@ def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
     ``chunk`` points as flat row-major coordinates, and ``sl``, their slice
     of the flat row-major grid, where the caller writes its results; slices
     never overlap.  The coordinates are cut from the rows the chunk touches,
-    so beyond the chunk they cost at most two rows.  The rows split into
-    ``min(threads, ny, MAX_BANDS)`` bands; with more than one, each band
-    runs on its own pool thread.
+    so beyond the chunk they cost at most two rows.  Only the row prefix
+    ``0 .. rows - 1`` is evaluated (every row by default); the sampling is
+    still that of the whole ny-row grid, from the lowest imaginary part up.
+    The evaluated rows split into ``min(threads, rows, MAX_BANDS)`` bands;
+    with more than one, each band runs on its own pool thread.
     """
     if threads < 1:
         raise ValueError("thread count must be >= 1")
@@ -188,7 +193,9 @@ def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
             chunk_fn(np.tile(xs, r1 - r0)[cut],
                      np.repeat(ys[r0:r1], nx)[cut], slice(a, b))
 
-    edges = np.linspace(0, ny, min(threads, ny, MAX_BANDS) + 1).astype(int)
+    rows = ny if rows is None else rows
+    edges = np.linspace(0, rows, min(threads, rows, MAX_BANDS) + 1)
+    edges = edges.astype(int)
     bands = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
     if len(bands) == 1:
         run_band(bands[0])

@@ -2,12 +2,29 @@
 and phase portraits of the product function.
 
 Output is P6 (binary) PPM only; bytes are a pure function of the inputs.
-Phase portraits fold the argument to |arg|/pi for the hue so that images of
-rectangles symmetric about the real axis are mirror-symmetric byte for byte
-(the function commutes with conjugation).  A phase portrait is evaluated
-and shaded in chunks of at most `PHASE_CHUNK` points, each written into one
-preallocated RGB array, so the kernel's temporaries are bounded by the
-chunk, not the image; per-pixel results do not depend on the chunking.
+Phase portraits fold the argument to |arg|/pi for the hue, so the shader
+reads only log|h| and |arg h|.
+
+The mirror rule.  The ring product has real radii and integer degrees, so
+h(conj z) = conj h(z).  For a rect with min(Im) == -max(Im), exactly,
+`dynamics.axis_coords` gives exactly negated row coordinates, and
+`render_phase` evaluates only the lower ``(ny + 1) // 2`` rows; the other
+rows are copies of those in reverse order.  Each step of the kernel is
+even or odd in y (numpy's hypot, arctan2, cos, sin and rint are, which the
+tests check), except the wrap of an angle into (-pi, pi] where it meets
++-pi exactly, on the imaginary axis and on exact diagonals.  There log|h|
+stays bitwise equal while |arg h| can differ from its mirror's in the last
+bits, so a mirrored pixel can differ from its own h's shade only where
+such a difference crosses a rounding edge of the shader.  Over 25,008,225
+pixels (three profiles, 25 half-widths from 1e-6 to 1e6, sides 65, 257
+and 513), 22,332 had |arg h| unequal to their mirror's and none had
+unequal RGB bytes.  Every other rect evaluates every row, and grids are
+never mirrored: a last-bit difference of h would feed later orbit steps.
+
+A phase portrait is evaluated and shaded in chunks of at most
+`PHASE_CHUNK` points, each written into one preallocated RGB array, so the
+kernel's temporaries are bounded by the chunk, not the image; per-pixel
+results do not depend on the chunking.
 The shader computes one colour channel at a time from per-channel hue
 tables, so its temporaries are chunk-sized vectors, not ``(N, 3)`` arrays.
 """
@@ -102,12 +119,18 @@ PHASE_CHUNK = 8192
 def render_phase(rect: tuple[complex, complex], nx: int, ny: int,
                  p: ParamSeq, threads: int = 1) -> bytes:
     """Phase portrait of the product function over a rectangle (see
-    `dynamics.run_row_bands` for the sampling)."""
-    rgb = np.empty((nx * ny, 3), dtype=np.uint8)
+    `dynamics.run_row_bands` for the sampling).  A rect symmetric about the
+    real axis is evaluated on its lower ``(ny + 1) // 2`` rows and the rest
+    is their mirror image (module docstring)."""
+    rgb = np.empty((ny, nx, 3), dtype=np.uint8)
+    flat = rgb.reshape(ny * nx, 3)
 
     def chunk(zx, zy, sl):
         _, lm, ag = _kernels.h_field(zx, zy, p)
-        rgb[sl] = phase_shade(lm, ag)
+        flat[sl] = phase_shade(lm, ag)
 
-    run_row_bands(rect, nx, ny, threads, PHASE_CHUNK, chunk)
-    return ppm_bytes(rgb.reshape(ny, nx, 3))
+    lo, hi = sorted((complex(rect[0]).imag, complex(rect[1]).imag))
+    rows = (ny + 1) // 2 if lo == -hi else ny
+    run_row_bands(rect, nx, ny, threads, PHASE_CHUNK, chunk, rows)
+    rgb[rows:] = rgb[:ny - rows][::-1]
+    return ppm_bytes(rgb)

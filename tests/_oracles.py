@@ -45,6 +45,12 @@ def orbit_ref(z0, r, n, max_steps, escape_radius):
     The grid's rules: the near-zero flag 2 on the first step s with
     |h| < ln 2, with step s; escape (flag 1) on the first step s whose h has
     Re h > 700 or whose image lies beyond the escape radius, with step s + 1.
+
+    The artefact rule: once Re h < -745, e^h lies below the least subnormal
+    double, so the kernel's step leaves z unchanged (|h| > 745 only far
+    from 0) and its orbit freezes; the current (status, step) is returned.
+    The true orbit then moves by less than e^-745 a step, and e^h is never
+    evaluated at an astronomically large |Im h|.
     """
     ctx = _ctx()
     z = ctx.mpc(complex(z0).real, complex(z0).imag)
@@ -58,6 +64,8 @@ def orbit_ref(z0, r, n, max_steps, escape_radius):
             status, step = 2, s
         if h.real > 700:
             return status | 1, s + 1
+        if h.real < -745:
+            return status, step
         z += ctx.exp(h)
         if abs(z) > escape_radius:
             return status | 1, s + 1

@@ -15,6 +15,7 @@ from bakerlab.dynamics import axis_coords, classify_grid, iterate
 from bakerlab.hfun import eval_h
 from bakerlab.logc import ZERO
 from bakerlab.params import ParamSeq, make_toy
+from bakerlab.verify import obstruction_chain
 
 from _oracles import h_ref, orbit_ref
 
@@ -521,6 +522,28 @@ def test_classification_matches_the_full_precision_orbit(name):
     # the sample holds both escaped and unescaped orbits
     assert {s & _kernels.STATUS_ESCAPED for s, _ in got} == {
         0, _kernels.STATUS_ESCAPED}
+
+
+def test_paper2_disk_square_matches_the_full_precision_orbit():
+    # seeded pixels of the 256x256 grid over z_k +- 2 radius_10 at ring 2 of
+    # paper2 (t = 0.37), 20 steps, escape radius 4 r_K; three of the twelve
+    # orbits land where Re h < -745, which the oracle's artefact rule
+    # freezes as the kernel does.  Past the first step the kernel's orbits
+    # carry h's rounding error times n_2 = 2.844e9, so this checks the rule
+    # and the first step: on 200 pixels of this grid, 28 that survive the
+    # first step disagree
+    p = make_toy("paper2")
+    rep = obstruction_chain(p, 2, 0.37, complex(5.0), 5.0)
+    half = 2.0 * rep.radius_10
+    xs = axis_coords(rep.z_k.real - half, rep.z_k.real + half, 256)
+    ys = axis_coords(rep.z_k.imag - half, rep.z_k.imag + half, 256)
+    zx, zy = np.tile(xs, 256), np.repeat(ys, 256)
+    pick = np.random.default_rng(22).choice(zx.size, 12, replace=False)
+    radius = 4.0 * p.r[-1]
+    status, step = _kernels.classify_field(zx[pick], zy[pick], p, 20, radius)
+    got = list(zip(status.tolist(), step.tolist()))
+    assert got == [orbit_ref(complex(x, y), p.r, p.n, 20, radius)
+                   for x, y in zip(zx[pick], zy[pick])]
 
 
 # on doubling, Re h = -28.57 here: the orbit creeps by about e^-28.6 a step

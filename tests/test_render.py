@@ -1,12 +1,13 @@
 """PPM rendering: format, palette rules, and byte-level determinism."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bakerlab import render
+from bakerlab import _kernels, render
 from bakerlab._kernels import h_field
 from bakerlab.dynamics import Grid, axis_coords, classify_grid
 from bakerlab.params import make_toy, params_digest
@@ -89,12 +90,139 @@ def test_phase_render_deterministic_across_threads():
     assert a == b
 
 
+def _whole_field(rect, nx, ny, p):
+    # (log|h|, arg h) of one h_field call over every pixel, shaped (ny, nx)
+    z0, z1 = complex(rect[0]), complex(rect[1])
+    xs = axis_coords(min(z0.real, z1.real), max(z0.real, z1.real), nx)
+    ys = axis_coords(min(z0.imag, z1.imag), max(z0.imag, z1.imag), ny)
+    _, lm, ag = h_field(np.tile(xs, ny), np.repeat(ys, nx), p)
+    return lm.reshape(ny, nx), ag.reshape(ny, nx)
+
+
+def _whole_phase(rect, nx, ny, p):
+    # the portrait shaded from every pixel's own h, with no mirroring
+    lm, ag = _whole_field(rect, nx, ny, p)
+    return ppm_bytes(phase_shade(lm.ravel(), ag.ravel()).reshape(ny, nx, 3))
+
+
+def _count_h_points(monkeypatch):
+    seen = []
+    real = _kernels.h_field
+
+    def counting(zx, zy, p):
+        seen.append(len(zx))
+        return real(zx, zy, p)
+
+    monkeypatch.setattr(_kernels, "h_field", counting)
+    return seen
+
+
+# square rects about 0: an odd side has an exact x = 0 column, and equal
+# sides give exact diagonals (the two axes share their coordinates)
+MIRROR_HALF = {"doubling": 6.0, "steep": 20.0, "paper2": 30.0}
+MIRROR_SIZES = [(33, 33), (32, 32), (33, 32), (32, 33)]
+
+
 def test_phase_render_mirror_symmetric():
-    # h commutes with conjugation and the hue folds |arg|, so a rectangle
-    # symmetric about the real axis renders to a vertically mirrored image
-    ppm = render_phase((-6 - 6j, 6 + 6j), 32, 32, DOUBLING, threads=4)
-    px = _pixels(ppm, 32, 32)
-    assert np.array_equal(px, px[::-1])
+    # a rect symmetric about the real axis is evaluated on its lower half
+    # and mirrored; the bytes are those of every pixel's own h, for every
+    # profile, odd and even sides, and one or three bands
+    bad = []
+    for profile, w in MIRROR_HALF.items():
+        rect, p = (complex(-w, -w), complex(w, w)), make_toy(profile)
+        for nx, ny in MIRROR_SIZES:
+            whole = _whole_phase(rect, nx, ny, p)
+            bad += [(profile, nx, ny, threads) for threads in (1, 3)
+                    if render_phase(rect, nx, ny, p, threads=threads)
+                    != whole]
+    assert bad == []
+
+
+def test_mirror_cases_meet_the_pi_edge():
+    # the cases above hold pixels whose |arg h| differs from its mirror's
+    # in the last bits (the wrap at +-pi), and log|h| never differs
+    asym = 0
+    for profile, w in MIRROR_HALF.items():
+        for nx, ny in MIRROR_SIZES:
+            lm, ag = _whole_field((complex(-w, -w), complex(w, w)), nx, ny,
+                                  make_toy(profile))
+            assert lm.tobytes() == lm[::-1].tobytes()
+            asym += np.count_nonzero(np.abs(ag) != np.abs(ag[::-1]))
+    assert asym > 0
+
+
+@pytest.mark.parametrize("rect, nx, ny, rows", [
+    # imaginary bounds one ulp apart: not symmetric, every row evaluated
+    pytest.param((-6 - 6j, complex(6, math.nextafter(6.0, 7.0))), 33, 32,
+                 32, id="one-ulp-off"),
+    pytest.param((complex(-6, -math.nextafter(6.0, 7.0)), 6 + 6j), 33, 33,
+                 33, id="one-ulp-off-below"),
+    pytest.param((6 + 6j, -6 - 6j), 33, 32, 16, id="swapped"),
+    pytest.param((-6 + 6j, 6 - 6j), 33, 33, 17, id="cross-swapped"),
+    pytest.param((-6 - 6j, 6 + 6j), 33, 1, 1, id="ny-1"),
+    pytest.param((-6 - 6j, 6 + 6j), 33, 2, 1, id="ny-2"),
+    pytest.param((-6 - 2j, 6 + 6j), 33, 2, 2, id="ny-2-asymmetric"),
+])
+def test_phase_render_path_choice(monkeypatch, rect, nx, ny, rows):
+    seen = _count_h_points(monkeypatch)
+    got = render_phase(rect, nx, ny, DOUBLING, threads=2)
+    assert sum(seen) == nx * rows
+    assert got == _whole_phase(rect, nx, ny, DOUBLING)
+
+
+def _premise_values():
+    # positive float64 values: uniform reduced angles, a few ulps around
+    # pi and pi/2, subnormals, huge values, halves (rint's ties) and
+    # log-uniform magnitudes over the whole range
+    rng = np.random.default_rng(22)
+    k = np.arange(-40, 41)
+    return np.concatenate([
+        rng.uniform(0.0, np.pi, 4000),
+        np.pi + k * np.spacing(np.pi),
+        np.pi / 2 + k * np.spacing(np.pi / 2),
+        rng.integers(1, 2 ** 52, 500) * 5e-324,
+        10.0 ** rng.uniform(15.0, 308.0, 1000),
+        rng.integers(0, 2 ** 40, 500) + 0.5,
+        10.0 ** rng.uniform(-323.0, 308.0, 2000),
+    ])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_mirror_premises_hold_in_numpy():
+    # the ufuncs of the kernel and the shader have, bit for bit, the
+    # symmetries in y that the mirror rule rests on (render's docstring)
+    a = _premise_values()
+    assert np.array_equal(_bits(np.cos(-a)), _bits(np.cos(a)))
+    assert np.array_equal(_bits(np.sin(-a)), _bits(-np.sin(a)))
+    assert np.array_equal(_bits(np.rint(-a)), _bits(-np.rint(a)))
+    rng = np.random.default_rng(23)
+    y = a
+    x = rng.permutation(a) * rng.choice([-1.0, 1.0], a.size)
+    x[::50] = 0.0
+    x[1::50] = -0.0
+    assert np.array_equal(_bits(np.hypot(x, -y)), _bits(np.hypot(x, y)))
+    assert np.array_equal(_bits(np.arctan2(-y, x)),
+                          _bits(-np.arctan2(y, x)))
+
+
+@pytest.mark.parametrize("profile", ["doubling", "steep", "paper2"])
+def test_h_field_logmod_is_even_under_conjugation(profile):
+    # log|h| at z and at conj z are the same double off the real axis, on
+    # every scale and near every ring
+    p = make_toy(profile)
+    rng = np.random.default_rng(24)
+    mod = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, 3000)]
+                         + [r * (1.0 + rng.normal(0.0, 1e-3, 1000))
+                            for r in p.r])
+    ang = rng.uniform(-np.pi, np.pi, mod.size)
+    zx, zy = mod * np.cos(ang), mod * np.sin(ang)
+    assert np.count_nonzero(zy) == zy.size
+    _, lm, _ = h_field(zx, zy, p)
+    _, lm_conj, _ = h_field(zx, -zy, p)
+    assert np.array_equal(_bits(lm), _bits(lm_conj))
 
 
 def test_phase_render_hits_stored_zero_pixel():
@@ -107,32 +235,35 @@ def test_phase_render_hits_stored_zero_pixel():
     assert np.array_equal(px[row, col], [0, 0, 0])
 
 
-@pytest.mark.parametrize("nx, ny, threads", [
-    pytest.param(181, 137, 1, id="1"),
-    pytest.param(181, 137, 2, id="2"),
+@pytest.mark.parametrize("nx, ny, threads, top", [
+    pytest.param(181, 137, 1, 21.0, id="1"),
+    pytest.param(181, 137, 2, 21.0, id="2"),
     # rows wider than PHASE_CHUNK: three calls of 8192, 8192 and 16 points
-    pytest.param(8200, 2, 1, id="wide-row"),
+    pytest.param(8200, 2, 1, 21.0, id="wide-row"),
+    # symmetric: the 138 evaluated rows hold three full chunks and a
+    # ragged fourth, as do the 137 rows of the cases above
+    pytest.param(181, 275, 1, 20.0, id="mirrored-1"),
+    pytest.param(181, 275, 2, 20.0, id="mirrored-2"),
 ])
-def test_phase_render_is_batching_invariant(nx, ny, threads):
-    # chunked evaluation gives the bytes of one whole-grid h_field call;
-    # at 181 wide one band holds three full chunks and a ragged fourth
+def test_phase_render_is_batching_invariant(monkeypatch, nx, ny, threads,
+                                            top):
+    # chunked evaluation gives the bytes of one whole-grid h_field call
     p = make_toy("steep")
-    assert nx * ny > 2 * render.PHASE_CHUNK
-    zx = np.tile(axis_coords(-20.0, 20.0, nx), ny)
-    zy = np.repeat(axis_coords(-20.0, 20.0, ny), nx)
-    code, lm, ag = h_field(zx, zy, p)
-    whole = ppm_bytes(phase_shade(lm, ag).reshape(ny, nx, 3))
-    assert render_phase((-20 - 20j, 20 + 20j), nx, ny, p,
-                        threads=threads) == whole
+    rect = (-20 - 20j, complex(20, top))
+    seen = _count_h_points(monkeypatch)
+    got = render_phase(rect, nx, ny, p, threads=threads)
+    assert sum(seen) > 2 * render.PHASE_CHUNK
+    assert got == _whole_phase(rect, nx, ny, p)
 
 
 def test_phase_render_memory_is_bounded():
     # one band of 262144 pixels; unchunked, its full-size temporaries peak
-    # near 50 MiB, also when the band is one row longer than the chunk
+    # near 50 MiB, also when the band is one row longer than the chunk (the
+    # rect is not symmetric, so no row is mirrored)
     for p, nx, ny in ((DOUBLING, 512, 512), (make_toy("steep"), 262144, 1)):
         tracemalloc.start()
         try:
-            render_phase((-6 - 6j, 6 + 6j), nx, ny, p, threads=1)
+            render_phase((-6 - 6j, 6 + 7j), nx, ny, p, threads=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
