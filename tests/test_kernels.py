@@ -242,10 +242,18 @@ def _sha(*arrays):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
-def _pinned_grid(case):
+# SHA-256 of the canonical-doubling grid at 256x256, one classify_field
+# call, recorded before the classifier stepped its active orbits in slices.
+# Steps 0 to 4 hold 65536, 19074, 13044, 9950 and 8418 active orbits, so
+# more than one step is wider than a slice.
+GRID_256_DIGEST = (
+    "f679c2accc28d3753cac04884ab29a0ed8c91157e0fb6b5fca295a7432e9e373")
+
+
+def _pinned_grid(case, side=64):
     rect, profile, steps = GRID_CASES[case]
-    return classify_grid(rect, 64, 64, make_toy(profile), max_steps=steps,
-                         escape_radius=64.0, threads=1)
+    return classify_grid(rect, side, side, make_toy(profile),
+                         max_steps=steps, escape_radius=64.0, threads=1)
 
 
 def _regime_points(p):
@@ -317,6 +325,11 @@ def _single_regime_points(p, regime):
 def test_grid_bytes_are_pinned(case):
     g = _pinned_grid(case)
     assert _sha(g.status, g.step) == GRID_DIGESTS[case]
+
+
+def test_large_grid_bytes_are_pinned():
+    g = _pinned_grid("canonical-doubling", 256)
+    assert _sha(g.status, g.step) == GRID_256_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(FIELD_DIGESTS))
