@@ -156,8 +156,10 @@ def axis_coords(lo: float, hi: float, n: int) -> np.ndarray:
 
 # a large thread request must not start one OS thread per row
 MAX_BANDS = 8
-# points per classify_field call: each step pays a fixed cost per call, so
-# smaller chunks lose; one call per band on a 256x256 grid
+# points per classify_field call: each step pays a fixed cost per call that
+# all of the call's survivors share, so smaller chunks lose; one call per
+# band on a 256x256 grid.  Memory is bounded inside the call, whose steps
+# run on slices of `_kernels.BATCH` orbits
 CLASSIFY_CHUNK = 65536
 
 

@@ -22,9 +22,9 @@ unequal RGB bytes.  Every other rect evaluates every row, and grids are
 never mirrored: a last-bit difference of h would feed later orbit steps.
 
 A phase portrait is evaluated and shaded in chunks of at most
-`PHASE_CHUNK` points, each written into one preallocated RGB array, so the
-kernel's temporaries are bounded by the chunk, not the image; per-pixel
-results do not depend on the chunking.
+`_kernels.BATCH` points, the batch size of every numpy pass, each written
+into one preallocated RGB array, so the kernel's temporaries are bounded by
+the chunk, not the image; per-pixel results do not depend on the chunking.
 The shader computes one colour channel at a time from per-channel hue
 tables, so its temporaries are chunk-sized vectors, not ``(N, 3)`` arrays.
 """
@@ -110,12 +110,6 @@ def phase_shade(logmod: np.ndarray, arg: np.ndarray) -> np.ndarray:
     return rgb
 
 
-# points per h_field call in a phase portrait: 64 KiB per float64
-# temporary, below glibc's 128 KiB mmap threshold, so temporaries are
-# reused from the heap instead of being mapped and faulted in afresh
-PHASE_CHUNK = 8192
-
-
 def render_phase(rect: tuple[complex, complex], nx: int, ny: int,
                  p: ParamSeq, threads: int = 1) -> bytes:
     """Phase portrait of the product function over a rectangle (see
@@ -131,6 +125,6 @@ def render_phase(rect: tuple[complex, complex], nx: int, ny: int,
 
     lo, hi = sorted((complex(rect[0]).imag, complex(rect[1]).imag))
     rows = (ny + 1) // 2 if lo == -hi else ny
-    run_row_bands(rect, nx, ny, threads, PHASE_CHUNK, chunk, rows)
+    run_row_bands(rect, nx, ny, threads, _kernels.BATCH, chunk, rows)
     rgb[rows:] = rgb[:ny - rows][::-1]
     return ppm_bytes(rgb)

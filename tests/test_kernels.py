@@ -5,6 +5,7 @@ import cmath
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +18,7 @@ from bakerlab.logc import ZERO
 from bakerlab.params import ParamSeq, make_toy
 from bakerlab.verify import obstruction_chain
 
-from _oracles import h_ref, orbit_ref
+from _oracles import PREC, h_ref, orbit_ref
 
 DOUBLING = make_toy("doubling")
 # |log|w|| at which a factor 1 + w leaves the near regime
@@ -250,10 +251,10 @@ GRID_256_DIGEST = (
     "f679c2accc28d3753cac04884ab29a0ed8c91157e0fb6b5fca295a7432e9e373")
 
 
-def _pinned_grid(case, side=64):
+def _pinned_grid(case, nx=64, ny=64):
     rect, profile, steps = GRID_CASES[case]
-    return classify_grid(rect, side, side, make_toy(profile),
-                         max_steps=steps, escape_radius=64.0, threads=1)
+    return classify_grid(rect, nx, ny, make_toy(profile), max_steps=steps,
+                         escape_radius=64.0, threads=1)
 
 
 def _regime_points(p):
@@ -328,7 +329,7 @@ def test_grid_bytes_are_pinned(case):
 
 
 def test_large_grid_bytes_are_pinned():
-    g = _pinned_grid("canonical-doubling", 256)
+    g = _pinned_grid("canonical-doubling", 256, 256)
     assert _sha(g.status, g.step) == GRID_256_DIGEST
 
 
@@ -365,6 +366,34 @@ def test_stall_exit_skips_frozen_orbits(monkeypatch):
     # frozen orbits alone leave 38166 point-steps; slow orbits retired by
     # `_settled` bring them to 21720
     assert sum(seen) < 24000
+
+
+@pytest.mark.parametrize("batch", [_kernels.BATCH, 1000, 257])
+def test_classify_is_batching_invariant(monkeypatch, batch):
+    # each step evaluates its active orbits in slices of at most BATCH
+    # points; the 4096 orbits of a 64x64 grid fill one slice by default,
+    # and at 1000 or 257 every early step is cut, most with a ragged last
+    # slice.  The bytes and the point-steps stay those of one slice
+    monkeypatch.setattr(_kernels, "BATCH", batch)
+    seen = _count_points(monkeypatch, "_h_field_numpy")
+    for case in sorted(GRID_CASES):
+        g = _pinned_grid(case)
+        assert _sha(g.status, g.step) == GRID_DIGESTS[case]
+    assert max(seen) == min(batch, 64 * 64)
+    assert sum(seen) == 37221
+
+
+def test_classify_memory_is_bounded():
+    # one band of 65536 orbits, as a square grid and as one row; stepped
+    # whole, the first step's call-sized temporaries peak near 11 MiB
+    for nx, ny in ((256, 256), (65536, 1)):
+        tracemalloc.start()
+        try:
+            _pinned_grid("canonical-doubling", nx, ny)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20, (nx, ny, peak)
 
 
 # (z, step at which |h| < ln 2 first holds, step whose image equals its input)
@@ -557,6 +586,31 @@ def test_paper2_disk_square_matches_the_full_precision_orbit():
     got = list(zip(status.tolist(), step.tolist()))
     assert got == [orbit_ref(complex(x, y), p.r, p.n, 20, radius)
                    for x, y in zip(zx[pick], zy[pick])]
+
+
+def test_frozen_orbits_move_less_than_half_an_ulp():
+    # where the floating-point map fixes a point, f(z) == z bitwise, the
+    # 200-bit e^h at that z is at most half an ulp of z in each coordinate,
+    # so rounding, not the map, holds the orbit still; 65 of these 200
+    # seeded canonical-doubling orbits freeze, the largest ratio 0.25
+    p, zx, zy, steps = _template_points("canonical-doubling")
+    pick = np.random.default_rng(5).choice(zx.size, 200, replace=False)
+    frozen, ratios = [], []
+    for x, y in zip(zx[pick], zy[pick]):
+        pts = iterate(complex(x, y), p, steps, 64.0).points
+        fixed = [a for a, b in zip(pts, pts[1:]) if a == b]
+        if fixed:
+            frozen.append(complex(x, y))
+            with mp.workprec(PREC):
+                e = mp.exp(h_ref(fixed[0], p.r, p.n))
+            ratios.append(max(abs(e.real) / math.ulp(fixed[0].real),
+                              abs(e.imag) / math.ulp(fixed[0].imag)))
+    assert len(frozen) > 50
+    assert max(ratios) <= 0.5
+    # and the classifier stops each of them unescaped
+    status, _ = _kernels.classify_field(np.real(frozen), np.imag(frozen), p,
+                                        steps, 64.0)
+    assert not (status & _kernels.STATUS_ESCAPED).any()
 
 
 # on doubling, Re h = -28.57 here: the orbit creeps by about e^-28.6 a step

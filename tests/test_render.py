@@ -238,7 +238,7 @@ def test_phase_render_hits_stored_zero_pixel():
 @pytest.mark.parametrize("nx, ny, threads, top", [
     pytest.param(181, 137, 1, 21.0, id="1"),
     pytest.param(181, 137, 2, 21.0, id="2"),
-    # rows wider than PHASE_CHUNK: three calls of 8192, 8192 and 16 points
+    # rows wider than _kernels.BATCH: three calls of 8192, 8192 and 16 points
     pytest.param(8200, 2, 1, 21.0, id="wide-row"),
     # symmetric: the 138 evaluated rows hold three full chunks and a
     # ragged fourth, as do the 137 rows of the cases above
@@ -252,7 +252,7 @@ def test_phase_render_is_batching_invariant(monkeypatch, nx, ny, threads,
     rect = (-20 - 20j, complex(20, top))
     seen = _count_h_points(monkeypatch)
     got = render_phase(rect, nx, ny, p, threads=threads)
-    assert sum(seen) > 2 * render.PHASE_CHUNK
+    assert sum(seen) > 2 * _kernels.BATCH
     assert got == _whole_phase(rect, nx, ny, p)
 
 
