@@ -177,7 +177,11 @@ def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
     ``0 .. rows - 1`` is evaluated (every row by default); the sampling is
     still that of the whole ny-row grid, from the lowest imaginary part up.
     The evaluated rows split into ``min(threads, rows, MAX_BANDS)`` bands;
-    with more than one, each band runs on its own pool thread.
+    with more than one, each band runs on its own pool thread.  The bands
+    share the interpreter lock, and a grid's bands take turns on whole
+    classifier steps of at most `_kernels.BATCH` orbits (`_kernels` module
+    docstring), so two bands cost close to what one does and are not
+    faster.
     """
     if threads < 1:
         raise ValueError("thread count must be >= 1")
