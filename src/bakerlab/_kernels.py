@@ -61,24 +61,7 @@ the survivors in order; a step with fewer active orbits is one slice.  On the
 five escape templates of the benchmark at 256x256, one call each, that cut
 the traced peak of `dynamics.classify_grid` from 10.2-11.3 MiB to 3.8-4.2
 MiB.  Phase portraits evaluate chunks of `BATCH` points
-(`render.render_phase`).  `_settled` works on (factors x candidates)
-arrays, so it takes a slice's candidates in slices of ``BATCH // K``; on
-the 256x256 canonical-doubling grid that cut its largest traced peak from
-1.67 MiB (3698 candidates) to 0.93 MiB.
-
-Concurrent calls, such as the row bands of `dynamics.run_row_bands`, take
-turns on one-slice steps: a step of at most `BATCH` active orbits runs
-under one lock, `_ONE_SLICE_LOCK`, and a step of several slices runs
-unlocked.  numpy releases the interpreter lock only around loops over about
-500 elements or more, so a one-slice step's numpy calls are too short to
-run in parallel, and two bands that step at once hand the interpreter lock
-over on nearly every call.  Taking turns costs one lock handoff per step
-instead.  On the five escape templates at 256x256 with two bands, that cut
-a round's voluntary context switches from about 72k to 4.7k and its
-`dynamics.classify_grid` time from 1.27 to 1.07 s (medians of 8
-alternating rounds, 2 CPUs); one band takes the lock uncontended and did
-not move (0.79 and 0.75 s, 12 rounds).  The lock changes no computed
-value, so no byte.
+(`render.render_phase`).
 
 `_h_field_numpy` splits ``arg z`` once per call if some degree needs the
 general compensated product, and evaluates each regime on its own points;
@@ -94,10 +77,8 @@ too, for angles below `ANGLE_MAX` = 2**53, and hand the reduced angle to
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -136,8 +117,6 @@ _ROUND_AWAY = 2.0 ** 55
 # so temporaries are reused from the heap instead of being mapped and
 # faulted in afresh
 BATCH = 8192
-# held by every classifier step of at most BATCH orbits
-_ONE_SLICE_LOCK = threading.Lock()
 
 
 def factor_snap_eps(n: int) -> float:
@@ -524,65 +503,52 @@ def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
     esc2 = escape_radius * escape_radius
     columns = _factor_columns(factors)
     two_n = 2.0 * columns[0].sum()
-    # `_settled` works on (K, candidates) arrays, so it takes candidates in
-    # slices of BATCH // K to keep them the size of a step's temporaries
-    per = max(1, BATCH // len(factors))
     for s in range(max_steps):
         if active[0].size == 0:
             break
         kept = []
-        # a one-slice step runs under `_ONE_SLICE_LOCK`, so that concurrent
-        # calls take turns on whole steps (module docstring)
-        turn = (_ONE_SLICE_LOCK if active[0].size <= BATCH
-                else contextlib.nullcontext())
-        with turn:
-            # each slice of at most BATCH active orbits takes the step on its
-            # own, so the step's temporaries are bounded by the slice
-            for a in range(0, active[0].size, BATCH):
-                idx, x, y = (v[a:a + BATCH] for v in active)
-                zero, hlm, hag = _h_field_numpy(x, y, factors)
-                # an active orbit has not escaped, so its status is 0 or
-                # the flag
-                fresh = idx[(hlm < LOG_LN2) & (status[idx] == STATUS_BOUNDED)]
-                status[fresh] = STATUS_NEAR_ZERO
-                step[fresh] = s
-                re_h, im_h = h_cartesian(hlm, hag)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    # an orbit with Re h beyond the band escapes whatever
-                    # its step computes, so that step may overflow or be NaN:
-                    # it is dropped and nothing computed for it is read
-                    emod = np.exp(re_h)
-                    # the first condition of `_settled`, N delta <= 1/2,
-                    # screens every orbit, so each one it would certify is a
-                    # candidate
-                    m = max_steps - s
-                    slow = ((RHO_PER_STEP * m) * emod * two_n
-                            <= np.hypot(x, y))
-                    ia = _reduce_np(im_h)
-                    nx = x + emod * np.cos(ia)
-                    # at a snapped zero the step is exactly +1; adding
-                    # sin(0) to y would turn a -0.0 into +0.0
-                    ny = np.where(zero, y, y + emod * np.sin(ia))
-                    out = ((re_h > CARTESIAN_BAND)
-                           | (nx * nx + ny * ny > esc2))
-                gone = idx[out]
-                status[gone] |= STATUS_ESCAPED
-                step[gone] = s + 1
-                # frozen at a floating-point fixed point: every later step
-                # repeats this one, so the orbit never escapes and its flag
-                # is final
-                frozen = (nx == x) & (ny == y)
-                keep = ~(out | frozen)
-                # orbits certified final for the m steps left retire like
-                # frozen ones
-                cand = np.flatnonzero(keep & slow)
-                for b in range(0, cand.size, per):
-                    c = cand[b:b + per]
-                    keep[c[_settled(x[c], y[c], hlm[c], re_h[c],
-                                    status[idx[c]] != STATUS_BOUNDED, m,
-                                    columns, esc2)]] = False
-                kept.append((idx[keep], nx[keep], ny[keep]))
-            active = tuple(np.concatenate(v) for v in zip(*kept))
+        # each slice of at most BATCH active orbits takes the step on its
+        # own, so the step's temporaries are bounded by the slice
+        for a in range(0, active[0].size, BATCH):
+            idx, x, y = (v[a:a + BATCH] for v in active)
+            zero, hlm, hag = _h_field_numpy(x, y, factors)
+            # an active orbit has not escaped, so its status is 0 or the flag
+            fresh = idx[(hlm < LOG_LN2) & (status[idx] == STATUS_BOUNDED)]
+            status[fresh] = STATUS_NEAR_ZERO
+            step[fresh] = s
+            re_h, im_h = h_cartesian(hlm, hag)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # an orbit with Re h beyond the band escapes whatever its
+                # step computes, so that step may overflow or be NaN: it is
+                # dropped and nothing computed for it is read
+                emod = np.exp(re_h)
+                # the first condition of `_settled`, N delta <= 1/2, screens
+                # every orbit, so each one it would certify is a candidate
+                m = max_steps - s
+                slow = (RHO_PER_STEP * m) * emod * two_n <= np.hypot(x, y)
+                ia = _reduce_np(im_h)
+                nx = x + emod * np.cos(ia)
+                # at a snapped zero the step is exactly +1; adding sin(0) to
+                # y would turn a -0.0 into +0.0
+                ny = np.where(zero, y, y + emod * np.sin(ia))
+                out = (re_h > CARTESIAN_BAND) | (nx * nx + ny * ny > esc2)
+            gone = idx[out]
+            status[gone] |= STATUS_ESCAPED
+            step[gone] = s + 1
+            # frozen at a floating-point fixed point: every later step
+            # repeats this one, so the orbit never escapes and its flag is
+            # final
+            frozen = (nx == x) & (ny == y)
+            keep = ~(out | frozen)
+            # orbits certified final for the m steps left retire like frozen
+            # ones
+            cand = np.flatnonzero(keep & slow)
+            if cand.size:
+                keep[cand[_settled(x[cand], y[cand], hlm[cand], re_h[cand],
+                                   status[idx[cand]] != STATUS_BOUNDED, m,
+                                   columns, esc2)]] = False
+            kept.append((idx[keep], nx[keep], ny[keep]))
+        active = tuple(np.concatenate(v) for v in zip(*kept))
     return status, step
 
 

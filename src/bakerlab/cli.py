@@ -8,7 +8,6 @@ check fails, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -110,11 +109,7 @@ def _resolve_params(args: argparse.Namespace) -> ParamSeq:
     return load_params(args.params)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``bakerlab`` argument parser, built once per process and shared
-    by every `main` call: parsing only reads it and fills a fresh namespace,
-    so commands run one after another in one process share no state."""
     ap = argparse.ArgumentParser(
         prog="bakerlab",
         description="ring-product entire maps: evaluation, verification, "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -177,11 +178,8 @@ def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
     ``0 .. rows - 1`` is evaluated (every row by default); the sampling is
     still that of the whole ny-row grid, from the lowest imaginary part up.
     The evaluated rows split into ``min(threads, rows, MAX_BANDS)`` bands;
-    with more than one, each band runs on its own pool thread.  The bands
-    share the interpreter lock, and a grid's bands take turns on whole
-    classifier steps of at most `_kernels.BATCH` orbits (`_kernels` module
-    docstring), so two bands cost close to what one does and are not
-    faster.
+    with more than one, each band runs on its own pool thread.
+    `classify_grid`'s bands take turns on their calls (its docstring).
     """
     if threads < 1:
         raise ValueError("thread count must be >= 1")
@@ -215,15 +213,23 @@ def classify_grid(rect: tuple[complex, complex], nx: int, ny: int,
                   escape_radius: Optional[float] = None,
                   threads: int = 1) -> Grid:
     """Per-pixel orbit classification over a rectangle (see `run_row_bands`
-    for the sampling)."""
+    for the sampling).
+
+    The bands take turns on whole `_kernels.classify_field` calls.  Most
+    classifier steps hold a few thousand active orbits, and numpy releases
+    the interpreter lock only around loops over about 500 elements or more,
+    so bands that stepped at once handed it over on nearly every numpy call.
+    """
     if escape_radius is None:
         escape_radius = default_escape_radius(p)
     status = np.empty(nx * ny, dtype=np.uint8)
     step = np.empty(nx * ny, dtype=np.uint32)
+    turn = threading.Lock()
 
     def chunk(zx, zy, sl):
-        status[sl], step[sl] = _kernels.classify_field(
-            zx, zy, p, max_steps, escape_radius)
+        with turn:
+            status[sl], step[sl] = _kernels.classify_field(
+                zx, zy, p, max_steps, escape_radius)
 
     run_row_bands(rect, nx, ny, threads, CLASSIFY_CHUNK, chunk)
     return Grid(nx=nx, ny=ny, status=status.reshape(ny, nx),

@@ -439,29 +439,6 @@ def test_grid_render_pipeline(capsys, tmp_path):
     assert ppath.read_bytes().startswith(b"P6\n32 32\n255\n")
 
 
-def test_commands_in_one_process_share_no_state(capsys, monkeypatch,
-                                                tmp_path):
-    # the parser is built once per process, but each command starts from
-    # the defaults, also after a usage error
-    steps = []
-    real = cli.classify_grid
-
-    def spying(rect, nx, ny, p, max_steps, *args, **kwargs):
-        steps.append(max_steps)
-        return real(rect, nx, ny, p, max_steps, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "classify_grid", spying)
-    argv = ["grid", "--profile", "doubling", "--rect=-1,-1,1,1", "--nx", "2",
-            "--ny", "2", "--out", str(tmp_path / "g.bkg")]
-    assert run_cli(capsys, *argv, "--steps", "5")[0] == 0
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--steps", "five"])
-    assert exc.value.code == 2
-    assert run_cli(capsys, *argv)[0] == 0
-    assert steps == [5, 64]
-    assert cli.build_parser() is cli.build_parser()
-
-
 def test_render_phase_writes_ppm(capsys, tmp_path):
     out = tmp_path / "phase.ppm"
     code, lines, _ = run_cli(capsys, "render", "phase", "--profile",

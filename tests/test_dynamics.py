@@ -3,6 +3,9 @@
 import cmath
 import hashlib
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -299,6 +302,72 @@ class TestGrid:
             np.repeat(axis_coords(-8.0, 8.0, ny), nx), DOUBLING, 3, 64.0)
         assert np.array_equal(g.status.ravel(), status)
         assert np.array_equal(g.step.ravel(), step)
+
+    def test_two_bands_take_turns_on_classify_calls(self, monkeypatch):
+        # each evaluation sleeps 1 ms, which lets the other band run, so
+        # without the lock the two bands' evaluations would overlap
+        spans = {}
+        inner = _kernels._h_field_numpy
+
+        def timed(*args):
+            t0 = time.perf_counter()
+            time.sleep(0.001)
+            out = inner(*args)
+            spans.setdefault(threading.get_ident(), []).append(
+                (t0, time.perf_counter()))
+            return out
+
+        one = classify_grid((-8 - 8j, 8 + 8j), 64, 64, DOUBLING, max_steps=40)
+        monkeypatch.setattr(_kernels, "_h_field_numpy", timed)
+        two = classify_grid((-8 - 8j, 8 + 8j), 64, 64, DOUBLING, max_steps=40,
+                            threads=2)
+        assert np.array_equal(two.status, one.status)
+        assert np.array_equal(two.step, one.step)
+        assert len(spans) == 2
+        first, second = spans.values()
+        assert [(a, b) for a in first for b in second
+                if a[0] < b[1] and b[0] < a[1]] == []
+
+    def test_a_failed_classify_call_lets_the_other_band_run(self,
+                                                            monkeypatch):
+        # the first call fails while it holds the lock and the other band
+        # waits for it; the other band's call must still run, and the error
+        # must reach the caller
+        calls = []
+        inner = _kernels.classify_field
+
+        def waiting():
+            # a band that waits for the lock is stopped in `chunk`, the
+            # closure of `classify_grid` that takes it
+            me = threading.get_ident()
+            return any(f.f_code.co_name == "chunk"
+                       for t, f in sys._current_frames().items() if t != me)
+
+        def first_fails(*args):
+            calls.append(None)
+            if len(calls) == 1:
+                deadline = time.monotonic() + 10
+                while not waiting() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                raise MemoryError("Unable to allocate")
+            return inner(*args)
+
+        monkeypatch.setattr(_kernels, "classify_field", first_fails)
+        raised = []
+
+        def run():
+            try:
+                classify_grid((-2 - 2j, 2 + 2j), 8, 8, DOUBLING, max_steps=5,
+                              threads=2)
+            except MemoryError as exc:
+                raised.append(exc)
+
+        # a lock left held would stop the other band for good
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(30)
+        assert not t.is_alive()
+        assert len(raised) == 1 and len(calls) == 2
 
     def test_corner_order_is_irrelevant(self):
         a = classify_grid((-3 - 3j, 3 + 3j), 9, 9, DOUBLING, max_steps=10)

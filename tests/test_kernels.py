@@ -5,8 +5,6 @@ import cmath
 import hashlib
 import math
 import sys
-import threading
-import time
 import tracemalloc
 
 import mpmath as mp
@@ -396,75 +394,6 @@ def test_classify_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2 ** 20, (nx, ny, peak)
-
-
-def test_one_slice_steps_of_two_bands_take_turns(monkeypatch):
-    # two bands of 2048 orbits, so every step is one slice and holds the
-    # step lock; each evaluation sleeps 1 ms, which lets the other band run,
-    # so without the lock the bands' evaluations would overlap
-    spans = {}
-    inner = _kernels._h_field_numpy
-
-    def timed(*args):
-        t0 = time.perf_counter()
-        time.sleep(0.001)
-        out = inner(*args)
-        spans.setdefault(threading.get_ident(), []).append(
-            (t0, time.perf_counter()))
-        return out
-
-    monkeypatch.setattr(_kernels, "_h_field_numpy", timed)
-    rect, profile, steps = GRID_CASES["canonical-doubling"]
-    g = classify_grid(rect, 64, 64, make_toy(profile), max_steps=steps,
-                      escape_radius=64.0, threads=2)
-    assert _sha(g.status, g.step) == GRID_DIGESTS["canonical-doubling"]
-    assert len(spans) == 2
-    first, second = spans.values()
-    assert [(a, b) for a in first for b in second
-            if a[0] < b[1] and b[0] < a[1]] == []
-
-
-def test_a_failed_locked_step_releases_the_lock(monkeypatch):
-    p, zx, zy, steps = _template_points("canonical-doubling", 16)
-    cells = _kernels.classify_field(zx, zy, p, steps, 64.0)
-
-    def no_memory(*args):
-        raise MemoryError("Unable to allocate")
-
-    monkeypatch.setattr(_kernels, "_h_field_numpy", no_memory)
-    with pytest.raises(MemoryError):
-        _kernels.classify_field(zx, zy, p, steps, 64.0)
-    # a lock left held would hang every later step, so take it back first
-    free = _kernels._ONE_SLICE_LOCK.acquire(blocking=False)
-    _kernels._ONE_SLICE_LOCK.release()
-    assert free
-    monkeypatch.undo()
-    assert _sha(*_kernels.classify_field(zx, zy, p, steps, 64.0)) == _sha(
-        *cells)
-
-
-def test_settled_takes_candidates_in_slices(monkeypatch):
-    # on the 256x256 canonical-doubling grid a slice has up to 3698
-    # candidates, more than BATCH // K = 2048 for the 4 factors of doubling;
-    # `_settled` takes them in slices of at most that many
-    calls = []  # per slice, the candidate count of each `_settled` call
-    h_field, settled = _kernels._h_field_numpy, _kernels._settled
-
-    def slice_start(*args):
-        calls.append([])
-        return h_field(*args)
-
-    def counting(x, *args):
-        calls[-1].append(x.size)
-        return settled(x, *args)
-
-    monkeypatch.setattr(_kernels, "_h_field_numpy", slice_start)
-    monkeypatch.setattr(_kernels, "_settled", counting)
-    g = _pinned_grid("canonical-doubling", 256, 256)
-    assert _sha(g.status, g.step) == GRID_256_DIGEST
-    sizes = [n for c in calls for n in c]
-    assert sizes and max(sizes) <= _kernels.BATCH // len(DOUBLING.n)
-    assert max(len(c) for c in calls) >= 2
 
 
 # (z, step at which |h| < ln 2 first holds, step whose image equals its input)
