@@ -8,6 +8,7 @@ check fails, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -109,7 +110,10 @@ def _resolve_params(args: argparse.Namespace) -> ParamSeq:
     return load_params(args.params)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on the first call: `main` parses every argv
+    with it, so an in-process caller does not rebuild it per command."""
     ap = argparse.ArgumentParser(
         prog="bakerlab",
         description="ring-product entire maps: evaluation, verification, "

@@ -32,6 +32,17 @@ def h_ref(z, r, n):
     return acc
 
 
+def condition_sum_ref(z, r, n):
+    """sum_k n_k |w_k|/|1 + w_k| for w_k = (z/r_k)^n_k at full precision."""
+    ctx = _ctx()
+    zz = ctx.mpc(complex(z).real, complex(z).imag)
+    acc = ctx.mpf(0)
+    for rk, nk in zip(r, n):
+        w = (zz / rk) ** int(nk)
+        acc += int(nk) * abs(w) / abs(1 + w)
+    return acc
+
+
 def f_ref(z, r, n):
     ctx = _ctx()
     zz = ctx.mpc(complex(z).real, complex(z).imag)

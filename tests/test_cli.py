@@ -238,6 +238,23 @@ def test_bad_complex_is_usage_error():
         assert exc.value.code == 2, argv
 
 
+def test_successive_calls_keep_their_outputs_and_exit_codes(capsys):
+    # one parser serves every call in a process; a call that fails, in a
+    # check, in its configuration or in its usage, leaves nothing behind
+    assert cli.build_parser() is cli.build_parser()
+    calls = [("params", "--profile", "doubling"),
+             ("params", "--profile", "doubling", "--validate"),
+             ("params", "--params", "/nope/missing.json"),
+             ("eval", "--profile", "steep", "--z", "0.5,0.25")]
+    first = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 1, 2, 0]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--z", "one+two", "--profile", "doubling"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert [run_cli(capsys, *argv) for argv in reversed(calls)] == first[::-1]
+
+
 def test_profile_and_file_are_exclusive():
     with pytest.raises(SystemExit) as exc:
         cli.main(["params", "--profile", "doubling", "--params", "x.json"])
