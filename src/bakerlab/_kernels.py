@@ -31,10 +31,9 @@ path writes the bytes its full formulas would:
   2**-48, and ``arg w``, with ``|v sin| <= v |arg w| < 2**-54 |arg w|``,
   ``L`` rounds away too: a big w adds exactly ``(log|w|, arg w)``.  A small
   w's terms round away against sums at least ``_ROUND_AWAY v`` in size; the
-  vector path tests that for a whole batch, the scalar core per point;
-- a dead factor, ``|log|w|| > DEAD_EDGE``, is the extreme case: ``v``
-  underflows to exactly 0, so ``L`` is ``+-0.0 + i (+-0.0)``.  The vector
-  path leaves such points out of a small w's evaluation.
+  vector path tests that for a whole batch, the scalar core per point.
+  Where ``v`` underflows to exactly 0 (a dead factor) that bound is 0 and
+  the terms are +-0.0, so neither path splits a factor at a third edge.
 The accumulators start at +0.0 and never hold -0.0 (in round-to-nearest a
 sum is -0.0 only when both terms are), and ``x + (+-0.0)`` is ``x`` for
 every other x, so a skipped factor, or a big w's ``arg w`` whose zero has
@@ -105,9 +104,6 @@ STATUS_ESCAPED_AFTER_NEAR_ZERO = STATUS_ESCAPED | STATUS_NEAR_ZERO
 # a factor 1 + w with |log|w|| >= FAR_EDGE is in the far field: |w| or 1/|w|
 # is at most e^-50, so 1 + w cannot vanish there
 FAR_EDGE = 50.0
-# a far factor with |log|w|| > DEAD_EDGE is dead: e^-|log|w|| underflows to
-# exactly 0 in libm and in numpy, so the factor is exactly 1 or exactly w
-DEAD_EDGE = 760.0
 # a far factor with a small w adds terms below 1.01 v, v = e^log|w|, to the
 # sums; they round away against a sum s with |s| >= _ROUND_AWAY v, since half
 # an ulp of s exceeds 2**-54 |s| >= 2 v, and the 2 also covers an ulp of exp
@@ -325,8 +321,8 @@ def _h_field_numpy(zx, zy, factors):
                 # big w: the factor is exactly w
                 acc_lm[sel] += wlm[sel]
                 acc_ag[sel] += wag[sel]
-            # small w, dead points left out: the factor is exactly 1 there
-            sel = _select((wlm <= -FAR_EDGE) & (wlm >= -DEAD_EDGE))
+            # small w: where v underflows to 0 its terms are +-0.0
+            sel = _select(wlm <= -FAR_EDGE)
             if sel is not None:
                 v = np.exp(wlm[sel])
                 a = wag[sel]

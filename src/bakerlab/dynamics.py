@@ -258,6 +258,8 @@ def read_grid(path) -> Grid:
     if len(raw) < off + 8 + 32:
         raise ValueError("grid file truncated in header")
     nx, ny = struct.unpack_from("<II", raw, off)
+    if nx == 0 or ny == 0:
+        raise ValueError(f"grid file has no cells: nx = {nx}, ny = {ny}")
     off += 8
     digest = raw[off:off + 32]
     off += 32
@@ -267,6 +269,9 @@ def read_grid(path) -> Grid:
         raise ValueError(
             f"grid file body is {len(body)} bytes, expected {expected}")
     cells = np.frombuffer(body, dtype=_CELL_DTYPE)
+    if cells["status"].max() > STATUS_ESCAPED_AFTER_NEAR_ZERO:
+        raise ValueError("grid file holds a status byte above "
+                         f"{STATUS_ESCAPED_AFTER_NEAR_ZERO}")
     return Grid(nx=nx, ny=ny,
                 status=cells["status"].reshape(ny, nx).copy(),
                 step=cells["step"].reshape(ny, nx).copy(),

@@ -22,7 +22,7 @@ from .hfun import (E, _check_positive, _probe_b, eval_f, probe_point,
                    ring_log_max)
 from .hyperbolic import TWO_LOG3, DiskSpec, disk_distance
 from .logc import LogComplex
-from .params import ParamSeq, derive, require_ring_index
+from .params import ParamSeq, derive, require_ring_index, validate_1b
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,6 @@ class ObstructionReport:
     link_flags: dict
 
 
-def _require_doubling_radii(p: ParamSeq) -> None:
-    # the growth estimate needs r_1 >= 2 and doubling radii, not full validity
-    if p.r[0] < 2.0 or any(p.r[j] < 2.0 * p.r[j - 1] for j in range(1, p.K)):
-        raise ValueError("growth check requires r_1 >= 2 and r_k >= 2 r_(k-1)")
-
-
 def ring_field(radius: float, samples: int, p: ParamSeq):
     """(angles, logmod, arg) of the product on |z| = radius at equispaced
     angles."""
@@ -98,7 +92,9 @@ def verify_2a(p: ParamSeq, k: int, samples: int = 4096) -> GrowthReport:
     benchmark passes it positionally until the benchmark change drops it.
     """
     require_ring_index(p, k)
-    _require_doubling_radii(p)
+    # the estimate needs validate_1b's radius clauses, not its degree ones
+    if not all(c.ok for c in validate_1b(p).clauses if c.name != "degree"):
+        raise ValueError("growth check requires r_1 >= 2 and r_k >= 2 r_(k-1)")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     r_k = p.r[k - 1]

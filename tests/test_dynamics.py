@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import math
+import struct
 import sys
 import threading
 import time
@@ -280,6 +281,30 @@ class TestGrid:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ValueError):
             read_grid(path)
+
+    @pytest.mark.parametrize("case, match", [
+        ("empty", "no cells"), ("bad-status", "status byte"),
+        ("short-header", "truncated in header")])
+    def test_malformed_grid_files_exit_2(self, tmp_path, capsys, case,
+                                         match):
+        # a header with nx = 0 and no cells, status bytes outside 0..3 and a
+        # header cut short are rejected, so `render escape` writes no image
+        digest = bytes(32)
+        cells = np.zeros(4, dtype=dynamics._CELL_DTYPE)
+        cells["status"] = (0, 7, 255, 3)
+        raw = {"empty": GRID_MAGIC + struct.pack("<II", 0, 5) + digest,
+               "bad-status": GRID_MAGIC + struct.pack("<II", 2, 2) + digest
+               + cells.tobytes(),
+               "short-header": GRID_MAGIC + struct.pack("<II", 2, 2)
+               + digest[:31]}[case]
+        path, out = tmp_path / "m.bkg", tmp_path / "m.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=match):
+            read_grid(path)
+        assert cli.main(["render", "escape", "--grid", str(path),
+                         "--out", str(out)]) == 2
+        assert match in capsys.readouterr().err
+        assert not out.exists()
 
     def test_thread_count_does_not_change_bytes(self):
         grids = [classify_grid((-8 - 8j, 8 + 8j), 64, 64, DOUBLING,

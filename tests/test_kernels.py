@@ -133,8 +133,11 @@ def test_condition_sum_matches_the_oracle():
     cases.append((make_toy("paper2"), list(PAPER2_EDGES)))
     n2, logr2, _ = _kernels.prepared(make_toy("paper2"))[1]
     lw = [n2 * (math.log(abs(z)) - logr2) for z in PAPER2_EDGES]
-    assert math.log(np.finfo(np.float64).max) < lw[0] < _kernels.DEAD_EDGE
-    assert lw[1] < -_kernels.DEAD_EDGE and lw[2] > _kernels.DEAD_EDGE
+    # dead: e^-|log|w_2|| underflows to exactly 0
+    assert math.log(np.finfo(np.float64).max) < lw[0]
+    assert math.exp(-lw[0]) > 0.0
+    assert lw[1] < 0.0 < lw[2]
+    assert math.exp(-abs(lw[1])) == math.exp(-lw[2]) == 0.0
     for p, pts in cases:
         term, s = _term_and_sum(np.real(pts), np.imag(pts), p)
         assert np.isfinite(term).all()
@@ -497,7 +500,7 @@ def test_single_regime_field_bytes_are_pinned(case):
 
 
 # ---------------------------------------------------------------------------
-# dead factors: |log|w|| > DEAD_EDGE, where e^-|log|w|| underflows to 0
+# dead factors, where e^-|log|w|| underflows to exactly 0
 # ---------------------------------------------------------------------------
 
 # SHA-256 of the numpy path on rects where paper2's second factor is dead
@@ -540,24 +543,16 @@ def test_dead_factor_field_bytes_are_pinned(case):
     with np.errstate(divide="ignore"):
         lmz = np.log(np.hypot(zx, zy))  # -inf at the origin
     wlm = [n * (lmz - logr) for n, logr, _ in factors]
-    dead = _kernels.DEAD_EDGE
     if case == "doubling-none":
-        assert all(np.abs(w).max() <= dead for w in wlm)
+        assert all((np.exp(-np.abs(w)) > 0.0).all() for w in wlm)
     else:
         last = wlm[-1]
-        assert (np.abs(last) > dead).all()
+        assert (np.exp(-np.abs(last)) == 0.0).all()
         signs = {"small": [True], "big": [False], "mixed": [False, True]}
         assert np.unique(last < 0.0).tolist() == signs[case.split("-")[-1]]
     code, lm, ag = _kernels._h_field_numpy(zx, zy, factors)
     assert _sha(code, lm, ag) == DEAD_FACTOR_DIGESTS[case]
     _assert_paths_agree(zx, zy, p)
-
-
-def test_dead_edge_underflows_exp():
-    # a dead factor's e^-|log|w|| is exactly 0 in numpy and in libm, so
-    # its log-polar step adds exactly +-0.0 or (log|w|, arg w)
-    assert np.exp(-_kernels.DEAD_EDGE) == 0.0
-    assert math.exp(-_kernels.DEAD_EDGE) == 0.0
 
 
 def test_dead_small_factor_skips_its_reduction(monkeypatch):
@@ -567,6 +562,72 @@ def test_dead_small_factor_skips_its_reduction(monkeypatch):
     p, zx, zy = _dead_factor_points("paper2-dead-small")
     _kernels._h_field_numpy(zx, zy, _kernels.prepared(p))
     assert seen == [zx.size]
+
+
+def _level_points(p, rng, rings=8, angles=512):
+    # points bisected onto log|h| = 0 on seeded circles where the last factor
+    # has a small w with e^{log|w|} in [e^-70, e^-50]: there the sums before
+    # it are near 0, so its terms do not round away, while on the rest of
+    # the circle they do.  Angles start at -pi, where paper2's sign change
+    # lies within 2e-4 rad
+    n, logr, _ = _kernels.prepared(p)[-1]
+    rad = np.repeat(np.exp(logr + rng.uniform(-70.0, -50.0, rings) / n),
+                    angles)
+    lo = np.tile(-math.pi + 2.0 * math.pi * np.arange(angles) / angles, rings)
+    hi = lo + 2.0 * math.pi / angles
+
+    def below(t):
+        return _kernels.h_field(rad * np.cos(t), rad * np.sin(t), p)[1] < 0.0
+
+    cross = below(lo) != below(hi)
+    rad, lo, hi = rad[cross], lo[cross], hi[cross]
+    start = below(lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        up = below(mid) == start
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    t, rad = np.concatenate([lo, hi]), np.tile(rad, 2)
+    return rad * np.cos(t), rad * np.sin(t)
+
+
+def _split_points(p, rng):
+    # first, mixed in seeded order, the last factor's small annulus of
+    # `_level_points` with its level points; then log|z| uniform in [-60,
+    # 60], then log|w_k| uniform in [-900, 900] about each ring (dead, far
+    # and near factors), and the origin with both signs of zero
+    n, logr, _ = _kernels.prepared(p)[-1]
+    rad = np.exp(logr + rng.uniform(-70.0, -50.0, 256) / n)
+    ang = rng.uniform(-math.pi, math.pi, 256)
+    lx, ly = _level_points(p, rng)
+    order = rng.permutation(rad.size + lx.size)
+    xs = [np.concatenate([rad * np.cos(ang), lx])[order]]
+    ys = [np.concatenate([rad * np.sin(ang), ly])[order]]
+    rad = np.concatenate(
+        [np.exp(rng.uniform(-60.0, 60.0, 256))]
+        + [r * np.exp(np.clip(rng.uniform(-900.0, 900.0, 64) / k, -60, 60))
+           for r, k in zip(p.r, p.n)])
+    ang = rng.uniform(-math.pi, math.pi, rad.size)
+    xs += [rad * np.cos(ang), [0.0, -0.0, 0.0, -0.0]]
+    ys += [rad * np.sin(ang), [0.0, 0.0, -0.0, -0.0]]
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+@pytest.mark.parametrize("name", PROFILE_NAMES)
+def test_h_field_bytes_do_not_depend_on_the_split(name):
+    # regimes, `_ALL` views and the whole-batch skip of a small factor are
+    # decided per batch; one batch, seeded cuts and single points must give
+    # the same bytes
+    p = make_toy(name)
+    rng = np.random.default_rng(37)
+    zx, zy = _split_points(p, rng)
+    whole = _sha(*_kernels.h_field(zx, zy, p))
+    cuts = np.unique(rng.integers(1, zx.size, 16))
+    parts = [_kernels.h_field(x, y, p)
+             for x, y in zip(np.split(zx, cuts), np.split(zy, cuts))]
+    assert _sha(*map(np.concatenate, zip(*parts))) == whole
+    points = [_kernels.h_field(zx[i:i + 1], zy[i:i + 1], p)
+              for i in range(zx.size)]
+    assert _sha(*map(np.concatenate, zip(*points))) == whole
 
 
 # ---------------------------------------------------------------------------
@@ -849,10 +910,10 @@ def test_reduction_falls_back_past_the_short_quotient(monkeypatch):
 
 def test_far_field_log1p_and_atan2_return_their_argument():
     # with v = e^-|log|w|| and x = v (2 cos + v), log1p(x) rounds to x and
-    # atan2(v sin, 1 + v cos) to v sin, in libm and in numpy
+    # atan2(v sin, 1 + v cos) to v sin, in libm and in numpy, up to and past
+    # the underflow of v near 745
     rng = np.random.default_rng(23)
-    wlm = np.concatenate([[FAR, _kernels.DEAD_EDGE],
-                          rng.uniform(FAR, _kernels.DEAD_EDGE, 20000)])
+    wlm = np.concatenate([[FAR, 760.0], rng.uniform(FAR, 760.0, 20000)])
     wag = np.concatenate([[0.0, -0.0, math.pi, -math.pi],
                           rng.uniform(-math.pi, math.pi, wlm.size - 4)])
     v, c, s = np.exp(-wlm), np.cos(wag), np.sin(wag)
@@ -886,8 +947,7 @@ def test_big_far_factor_adds_exactly_w():
     # both parts round away against log|w| >= FAR_EDGE and arg w, which
     # keeps its bits up to the sign of a zero, lost in the +0.0 sums
     rng = np.random.default_rng(29)
-    wlm = np.concatenate([[FAR, _kernels.DEAD_EDGE],
-                          rng.uniform(FAR, _kernels.DEAD_EDGE + 50.0, 20000)])
+    wlm = np.concatenate([[FAR, 760.0], rng.uniform(FAR, 810.0, 20000)])
     wag = _far_angles(rng, wlm.size)
     v, c, s = np.exp(-wlm), np.cos(wag), np.sin(wag)
     lm = 0.5 * np.log1p(v * (2.0 * c + v)) + wlm
