@@ -433,6 +433,12 @@ def _settled(x, y, hlm, re_h, flagged, m, columns, esc2):
     radius R^2.  A certified orbit keeps its status, 0 or 2, and its step,
     like a frozen one.
 
+    Precondition: every orbit passed to `_settled` passes the caller's
+    screen ``3 e m e^{Re h(z_s)} 2 N <= |z_s|``, with ``N = sum n_k``, on
+    the same floats.  With ``delta = rho/|z_s|`` (rho below) that is ``N
+    delta <= 1/2``, the first condition of the certificate; `_settled`
+    does not test it again.
+
     The disk.  Let ``L = Re h(z_s) + 1`` and let D be the closed disk of
     radius ``rho = 3 e m e^{Re h(z_s)} = 3 m e^L`` about z_s.  If the
     computed Re h is at most L on D, each computed step from a point of D is
@@ -443,15 +449,14 @@ def _settled(x, y, hlm, re_h, flagged, m, columns, esc2):
     status is final once, on all of D, no step escapes and no near-zero
     flag or snapped zero appears.
 
-    The bound on D.  With ``N = sum n_k`` and ``delta = rho/|z_s|``, the
-    first condition is ``N delta <= 1/2``; it needs no factor, and the
-    caller screens every orbit with it.  For w in D, ``|w/z_s - 1| <=
-    delta``, so ``w_k = (w/r_k)^{n_k}`` is within ``|u_k| ((1 + delta)^{n_k}
-    - 1)`` of ``u_k = w_k(z_s)``, and ``(1 + w_k)/(1 + u_k) = 1 + t_k`` with
-    ``|t_k| <= a_k = cond_k expm1(n_k delta)``, where ``cond_k = |u_k|/|1 +
-    u_k|`` is the factor's condition weight.  For ``a_k < 1``, ``|log(1 +
-    t)| <= -log(1 - |t|)``, so ``|log h(w) - log h(z_s)| <= Lambda = sum_k
-    -log1p(-a_k)`` (imaginary part mod 2 pi).  `_factor_bounds` bounds
+    The bound on D.  The precondition gives ``N delta <= 1/2``.  For w in
+    D, ``|w/z_s - 1| <= delta``, so ``w_k = (w/r_k)^{n_k}`` is within
+    ``|u_k| ((1 + delta)^{n_k} - 1)`` of ``u_k = w_k(z_s)``, and ``(1 +
+    w_k)/(1 + u_k) = 1 + t_k`` with ``|t_k| <= a_k = cond_k expm1(n_k
+    delta)``, where ``cond_k = |u_k|/|1 + u_k|`` is the factor's condition
+    weight.  For ``a_k < 1``, ``|log(1 + t)| <= -log(1 - |t|)``, so ``|log
+    h(w) - log h(z_s)| <= Lambda = sum_k -log1p(-a_k)`` (imaginary part
+    mod 2 pi).  `_factor_bounds` bounds
     ``cond_k`` from ``l_k = n_k (log|z_s| - log r_k)`` and ``theta_k = n_k
     arg z_s`` as computed: with ``c_k = e^-|l_k|``, ``g_k = |1 + c_k e^{i
     theta_k}| - (1 + c_k e^{e_k}) expm1(2 e_k)`` is at most ``|1 + u_k|``
@@ -475,13 +480,16 @@ def _settled(x, y, hlm, re_h, flagged, m, columns, esc2):
     = Lambda + 300 T'`` (``2 sqrt(2) 100 < 300``), so ``Re h_c(w) <= Re
     h_c(z_s) + |h_c(z_s)| expm1(Lambda*)``.
 
-    The orbit is certified when, besides ``N delta <= 1/2``:
+    Given the precondition, the orbit is certified when these six hold:
     - ``|h(z_s)| expm1(Lambda*) <= 1/2``: Re h stays below L.  The other
       half of the margin 1 covers the rounding of ``Re h = |h| cos(arg h)``
       (4 eps |h|, while ``Lambda* >= 2400 eps``) and of this test;
-    - ``-700 <= Re h(z_s)``, ``L <= 700`` and ``log|h(z_s)| + 2 Lambda* <=
-      700``: the step is a normal double, no step escapes through Re h and h
-      stays cartesian on D;
+    - ``-700 <= Re h(z_s)`` and ``log|h(z_s)| + 2 Lambda* <= 700``: the
+      step is a normal double and h stays cartesian on D.  ``L <= 700``,
+      so that no step escapes through Re h, needs no test: the next
+      condition asks for a finite ``(|z_s| + rho)^2``, so ``|z_s| <
+      1.34e154``, and then the precondition, with m >= 1 and N >= 1, gives
+      ``e^{Re h(z_s)} <= |z_s|/(6 e)``, so ``Re h(z_s) < 352.1``;
     - ``(|z_s| + rho)^2 (1 + 2^-30)^2 < R^2``: no point of D passes the
       escape radius.  The margin is far above the few ulps by which
       ``|z_s|``, rho, R^2 and a later ``x*x + y*y`` are rounded;
@@ -516,11 +524,10 @@ def _settled(x, y, hlm, re_h, flagged, m, columns, esc2):
             n, cond * np.exp(grow) / room, tau) - np.log1p(-a).sum(axis=0)
         edge = (az + rho) * (1.0 + 2.0 ** -30)
         lam2 = 2.0 * lam
-        return ((rho * (2.0 * n.sum()) <= az)
-                & (gap * room > 2.0 * np.expm1(2.0 * (snap + e))).all(axis=0)
+        return ((gap * room > 2.0 * np.expm1(2.0 * (snap + e))).all(axis=0)
                 & (np.exp(hlm) * np.expm1(lam) <= 0.5)
-                & (re_h >= -CARTESIAN_BAND) & (re_h + 1.0 <= CARTESIAN_BAND)
-                & (hlm + lam2 <= CARTESIAN_BAND) & (edge * edge < esc2)
+                & (re_h >= -CARTESIAN_BAND) & (hlm + lam2 <= CARTESIAN_BAND)
+                & (edge * edge < esc2)
                 & (flagged | (hlm - lam2 > LOG_LN2)))
 
 
@@ -554,8 +561,8 @@ def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
                 # step computes, so that step may overflow or be NaN: it is
                 # dropped and nothing computed for it is read
                 emod = np.exp(re_h)
-                # the first condition of `_settled`, N delta <= 1/2, screens
-                # every orbit, so each one it would certify is a candidate
+                # `_settled`'s precondition, N delta <= 1/2: only orbits
+                # that pass this screen are candidates
                 m = max_steps - s
                 slow = (RHO_PER_STEP * m) * emod * two_n <= np.hypot(x, y)
                 # a step that underflows to 0 leaves the orbit where it is,

@@ -23,7 +23,8 @@ from .dynamics import (check_axis_bounds, classify_grid, iterate, read_grid,
 from .hfun import eval_f, eval_g, eval_h
 from .hyperbolic import CHECKS, run_check
 from .logc import LogComplex, Zero
-from .params import ParamSeq, load_params, make_toy, params_to_json, validate_1b
+from .params import (PROFILES, ParamSeq, load_params, make_toy,
+                     params_to_json, validate_1b)
 from .render import render_escape, render_phase
 from .verify import (asymptotic_deviation, obstruction_chain, ring_field,
                      verify_2a, verify_2b, verify_2c)
@@ -87,7 +88,7 @@ def _emit(obj: Any) -> None:
 
 def _add_params_source(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--profile", choices=("doubling", "steep", "paper2"),
+    grp.add_argument("--profile", choices=tuple(PROFILES),
                      help="built-in parameter profile")
     grp.add_argument("--params", metavar="FILE",
                      help="JSON file with keys r and n")

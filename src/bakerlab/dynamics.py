@@ -269,10 +269,15 @@ def read_grid(path) -> Grid:
         raise ValueError(
             f"grid file body is {len(body)} bytes, expected {expected}")
     cells = np.frombuffer(body, dtype=_CELL_DTYPE)
-    if cells["status"].max() > STATUS_ESCAPED_AFTER_NEAR_ZERO:
+    status, step = cells["status"], cells["step"]
+    if status.max() > STATUS_ESCAPED_AFTER_NEAR_ZERO:
         raise ValueError("grid file holds a status byte above "
                          f"{STATUS_ESCAPED_AFTER_NEAR_ZERO}")
-    return Grid(nx=nx, ny=ny,
-                status=cells["status"].reshape(ny, nx).copy(),
-                step=cells["step"].reshape(ny, nx).copy(),
-                digest=digest)
+    # a bounded cell has step 0, an escaped one the step on which it left,
+    # at least 1; the file records no step budget to bound the rest
+    if (step[status == STATUS_BOUNDED] != 0).any():
+        raise ValueError("grid file holds a bounded cell with a nonzero step")
+    if (step[(status & STATUS_ESCAPED) != 0] == 0).any():
+        raise ValueError("grid file holds an escaped cell with step 0")
+    return Grid(nx=nx, ny=ny, status=status.reshape(ny, nx).copy(),
+                step=step.reshape(ny, nx).copy(), digest=digest)

@@ -79,7 +79,7 @@ def ring_field(radius: float, samples: int, p: ParamSeq):
     t = TWO_PI * np.arange(samples) / samples
     zx = radius * np.cos(t)
     zy = radius * np.sin(t)
-    code, lm, ag = _kernels.h_field(zx, zy, p)
+    _, lm, ag = _kernels.h_field(zx, zy, p)
     return t, lm, ag
 
 
@@ -205,11 +205,9 @@ def obstruction_chain(p: ParamSeq, k: int, t_k: float, c: complex,
     # cancels catastrophically when n_k ~ 10^9)
     dist_a = 2.0 * r_k * abs(math.sin((1.0 - 2.0 * delta) * math.pi / (2 * n_k)))
     phi_d = TWO_PI * (pp.theta - delta) / n_k
-    try:
-        dist_b = math.sqrt((s_k - r_k) ** 2
-                           + 4.0 * s_k * r_k * math.sin(0.5 * phi_d) ** 2)
-    except OverflowError:  # a float ** raises where a product is inf
-        dist_b = math.inf
+    # s_k - r_k is squared by a product, which is inf where ``** 2`` raises
+    dist_b = math.sqrt((s_k - r_k) * (s_k - r_k)
+                       + 4.0 * s_k * r_k * math.sin(0.5 * phi_d) ** 2)
     # the true dist_b is finite.  rho_lower_3d can overflow only through
     # r_k * r_k, and then 4 s_k r_k >= 4 r_k^2 has already made dist_b inf
     if not math.isfinite(dist_b):

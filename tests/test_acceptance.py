@@ -1,13 +1,19 @@
 """Acceptance gate: the eleven end-to-end criteria, one test each, checks
-that criteria 7 and 9 fail on a broken formula, and a check that `run_all`
-runs each criterion once, in order.
+that criteria 1, 2, 6, 7 and 9 fail on a broken formula, that a criterion
+over its time budget fails, and a check that `run_all` runs each criterion
+once, in order.
 
 Each test runs its criterion under the runtime budget baked into
 bakerlab.acceptance and prints a single PASS/FAIL line with the measured
 detail (visible with `pytest -rA` or `-s`).
 """
 
-from bakerlab import acceptance, hyperbolic, verify
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+
+from bakerlab import acceptance, hfun, hyperbolic, verify
 
 
 def _run(index: int) -> None:
@@ -55,6 +61,36 @@ def test_criterion_07_fails_on_a_wrong_distance(monkeypatch):
     passed, detail = acceptance.criterion_7()
     assert not passed
     assert detail == "failed: lemma1"
+
+
+@pytest.mark.parametrize("index, name, broken, detail", [
+    # no stored zero is tagged exact, or none translates by exactly 1
+    (1, "Zero", type("NotZero", (), {}), "30 zeros checked, 30 failures"),
+    (1, "eval_f", lambda z, p: SimpleNamespace(value=z),
+     "30 zeros checked, 30 failures"),
+    # a thousandth of the truncation bound is exceeded
+    (2, "eval_h", lambda z, p: replace(
+        res := hfun.eval_h(z, p), trunc_bound=1e-3 * res.trunc_bound),
+     "over the bound or without one"),
+    (6, "theta", lambda phi: hfun.theta(phi) + 0.01, "violations 10000"),
+    (7, "disk_distance", lambda a, b: 0.0, "failed: unit value"),
+], ids=["1-not-exact", "1-not-unit", "2-tight-bound", "6-off-angle",
+        "7-unit-value"])
+def test_criterion_fails_on_a_broken_input(monkeypatch, index, name, broken,
+                                           detail):
+    # each criterion reads the name from `acceptance`'s own namespace; the
+    # broken ones call the originals through `hfun`
+    monkeypatch.setattr(acceptance, name, broken)
+    passed, got = getattr(acceptance, f"criterion_{index}")()
+    assert not passed
+    assert detail in got
+
+
+def test_criterion_over_its_budget_fails(monkeypatch):
+    monkeypatch.setattr(acceptance, "_CRITERIA",
+                        [("instant", lambda: (True, "ok"), 0.0)])
+    res = acceptance.run_criterion(1)
+    assert (res.passed, res.detail) == (False, "ok; OVER TIME BUDGET 0s")
 
 
 def test_criterion_08_newton_identity():

@@ -487,7 +487,9 @@ def test_out_of_memory_is_config_error(capsys, monkeypatch, tmp_path, argv,
 
 @pytest.mark.parametrize("rect", ["-8,-8,8,inf", "-8,-8,8,nan",
                                   "-inf,-8,8,8", "-1e308,-8,1e308,8",
-                                  "-8,1e308,8,1.5e308", "a,b,c,d"])
+                                  "-8,1e308,8,1.5e308", "a,b,c,d",
+                                  # corners that do not increase
+                                  "8,-8,-8,8", "-8,8,8,-8"])
 @pytest.mark.parametrize("command", ["grid", "phase"])
 def test_rect_must_be_finite(capsys, tmp_path, command, rect):
     out = tmp_path / "out"

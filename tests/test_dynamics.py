@@ -284,19 +284,33 @@ class TestGrid:
 
     @pytest.mark.parametrize("case, match", [
         ("empty", "no cells"), ("bad-status", "status byte"),
-        ("short-header", "truncated in header")])
+        ("short-header", "truncated in header"),
+        ("steps-contradict", "bounded cell"),
+        ("bounded-step", "bounded cell with a nonzero step"),
+        ("escaped-step-0", "escaped cell with step 0")])
     def test_malformed_grid_files_exit_2(self, tmp_path, capsys, case,
                                          match):
-        # a header with nx = 0 and no cells, status bytes outside 0..3 and a
-        # header cut short are rejected, so `render escape` writes no image
+        # a header with nx = 0 and no cells, status bytes outside 0..3, a
+        # header cut short and a step that contradicts its status (a bounded
+        # cell has step 0, an escaped one a step >= 1) are rejected, so
+        # `render escape` writes no image
         digest = bytes(32)
+        head = GRID_MAGIC + struct.pack("<II", 2, 2) + digest
         cells = np.zeros(4, dtype=dynamics._CELL_DTYPE)
-        cells["status"] = (0, 7, 255, 3)
+
+        def body(status, step):
+            cells["status"], cells["step"] = status, step
+            return cells.tobytes()
+
         raw = {"empty": GRID_MAGIC + struct.pack("<II", 0, 5) + digest,
-               "bad-status": GRID_MAGIC + struct.pack("<II", 2, 2) + digest
-               + cells.tobytes(),
-               "short-header": GRID_MAGIC + struct.pack("<II", 2, 2)
-               + digest[:31]}[case]
+               "bad-status": head + body((0, 7, 255, 3), 0),
+               "short-header": head[:-1],
+               "steps-contradict": head + body((0, 1, 2, 3),
+                                               (7, 0, 5, 4_000_000_000)),
+               # one bad cell each among cells that keep both rules
+               "bounded-step": head + body((0, 1, 2, 3), (7, 1, 0, 2)),
+               "escaped-step-0": head + body((0, 1, 2, 3), (0, 1, 5, 0)),
+               }[case]
         path, out = tmp_path / "m.bkg", tmp_path / "m.ppm"
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=match):

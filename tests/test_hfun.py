@@ -12,6 +12,7 @@ import pytest
 from bakerlab import hfun
 from bakerlab.dynamics import iterate
 from bakerlab.hfun import (
+    EvalResult,
     NonConvergence,
     eval_f,
     eval_g,
@@ -32,6 +33,16 @@ E = math.e
 
 
 class TestEvalH:
+    @pytest.mark.parametrize("make, args, match", [
+        (EvalResult, (1j, -1.0, False), "trunc_bound must be >= 0"),
+        (EvalResult, (1j, math.nan, False), "trunc_bound must be >= 0"),
+        (eval_h, (complex(math.nan, 0.0), DOUBLING), "non-finite input"),
+        (eval_h, (complex(0.0, -math.inf), DOUBLING), "non-finite input"),
+    ], ids=["negative-bound", "nan-bound", "nan-z", "inf-z"])
+    def test_invalid_values_are_rejected(self, make, args, match):
+        with pytest.raises(ValueError, match=match):
+            make(*args)
+
     def test_value_at_one_frozen_and_live(self):
         res = eval_h(1.0, DOUBLING)
         assert res.value == pytest.approx(1.2548828872968443, abs=1e-15)
@@ -333,6 +344,25 @@ class TestG:
         for _ in range(10):
             z = complex(*rng.uniform(-0.7, 0.7, 2))
             assert newton_residual(z, DOUBLING) <= 1e-6
+
+    def test_value_at_zero_is_one_with_a_plus_zero_imaginary_part(self):
+        # the quadrature path would give exp(-0j) = 1 - 0j
+        g = eval_g(0.0, DOUBLING)
+        assert g == 1.0 and math.copysign(1.0, g.imag) == 1.0
+
+    @pytest.mark.parametrize("p, z, step, error, match", [
+        # from z = 8 on, e^-h on the step is far below an ulp of the
+        # integral, so g(z - step) and g(z + step) round equal
+        (DOUBLING, 8.0, 1e-5, ZeroDivisionError, "g' vanishes"),
+        # h = 1 + z/1000 and Re h(z) = 701: f(z) is log-polar, while a step
+        # back to z - step = 1e4 keeps |g'| far above 1e-300
+        (ParamSeq((1000.0,), (1,)), 7e5, 6.9e5, ValueError,
+         "not representable in cartesian form"),
+    ], ids=["g-prime-vanishes", "f-log-polar"])
+    def test_residual_needs_g_prime_and_a_cartesian_f(self, p, z, step,
+                                                      error, match):
+        with pytest.raises(error, match=match):
+            newton_residual(z, p, step=step)
 
     def test_residual_rejects_bad_step(self):
         for step in (0.0, math.nan, math.inf):

@@ -53,6 +53,20 @@ def test_points_outside_domain_rejected():
         disk_distance(3.1 + 1.0j, 1.0 + 1.0j, DiskSpec(1.0 + 1.0j, 2.0))
 
 
+@pytest.mark.parametrize("make, args, match", [
+    (DiskSpec, (0j, 0.0), "disk radius must be positive"),
+    (DiskSpec, (0j, -1.0), "disk radius must be positive"),
+    (DiskSpec, (0j, math.inf), "disk radius must be positive"),
+    (DiskSpec, (0j, math.nan), "disk radius must be positive"),
+    # log 0 would raise too, but without naming c
+    (lemma1_lower_bound, (0.5, 0.1, 0.5), "must differ from the omitted"),
+    (lemma1_lower_bound, (0.1, 0.5, 0.5), "must differ from the omitted"),
+], ids=["r-0", "r-negative", "r-inf", "r-nan", "a-is-c", "b-is-c"])
+def test_degenerate_inputs_are_rejected(make, args, match):
+    with pytest.raises(ValueError, match=match):
+        make(*args)
+
+
 def test_omitted_point_lower_bound_formula_and_cap():
     got = lemma1_lower_bound(0.1, 0.4, 1.0)
     da, db = abs(0.1 - 1.0), abs(0.4 - 1.0)

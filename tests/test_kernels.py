@@ -652,25 +652,79 @@ def _template_points(name, side=64):
     return make_toy(profile), np.tile(xs, side), np.repeat(ys, side), steps
 
 
+def _screened(x, y, re_h, m, n):
+    # `_classify_numpy`'s screen, `_settled`'s precondition N delta <= 1/2,
+    # on the same floats: N is the degree column n's sum
+    return ((_kernels.RHO_PER_STEP * m) * np.exp(re_h) * (2.0 * n.sum())
+            <= np.hypot(x, y))
+
+
+def test_screen_and_escape_circle_bound_re_h():
+    # `_settled` does not test Re h + 1 <= 700.  With m = 1 and N = 1 the
+    # screen asks for |z| >= 2 rho, rho = 3 e e^{Re h}, and the escape-circle
+    # test for (|z| + rho)^2 (1 + 2^-30)^2 < R^2, which needs a finite R^2.
+    # At the largest such R both pass at Re h = 351 and at no Re h >= 353:
+    # each gets harder as Re h grows
+    radius = math.sqrt(np.finfo(float).max)
+    while math.isfinite((up := math.nextafter(radius, math.inf)) * up):
+        radius = up
+    assert math.isfinite(radius * radius)
+    # |z| across the whole disk: the screen passes from some |z| up, the
+    # circle below some |z|
+    az = radius * np.linspace(0.001, 1.0, 1000)
+    for re_h, passes in ((351.0, True), (353.0, False)):
+        edge = (az + _kernels.RHO_PER_STEP * math.exp(re_h)) * (
+            1.0 + 2.0 ** -30)
+        with np.errstate(over="ignore"):
+            circle = edge * edge < radius * radius
+        screen = _screened(az, 0.0, re_h, 1, np.ones((1, 1)))
+        assert (screen & circle).any() == passes
+
+
 @pytest.mark.parametrize("name", sorted(ESCAPE_TEMPLATES))
 def test_certificate_moves_no_byte(monkeypatch, name):
     p, zx, zy, steps = _template_points(name)
     factors = _kernels.prepared(p)
-    retired = []
+    retired, screened = [], []
     real = _kernels._settled
 
-    def counting(*args):
-        ok = real(*args)
+    def counting(x, y, hlm, re_h, flagged, m, columns, esc2):
+        # `_settled` does not test its precondition itself
+        screened.append(_screened(x, y, re_h, m, columns[0]).all())
+        ok = real(x, y, hlm, re_h, flagged, m, columns, esc2)
         retired.append(np.count_nonzero(ok))
         return ok
 
     monkeypatch.setattr(_kernels, "_settled", counting)
     cells = _kernels._classify_numpy(zx, zy, factors, steps, 64.0)
-    assert sum(retired) > 0
+    assert sum(retired) > 0 and all(screened)
     monkeypatch.setattr(_kernels, "_settled",
                         lambda x, *args: np.zeros(x.shape, dtype=bool))
     assert _sha(*cells) == _sha(*_kernels._classify_numpy(zx, zy, factors,
                                                            steps, 64.0))
+
+
+def test_appended_factor_moves_only_cells_that_pass_2_r_k():
+    # a grid classifies the stored prefix, and `eval`'s tail bound covers
+    # every admissible continuation only inside |z| < 2 r_K.  Append a
+    # fifth factor at r_5 = 2 r_4 = 32 with n_5 = 1024: every cell it moves
+    # (44 at 64x64) is one whose (status, step) differs between escape
+    # radius 2 r_K and 64 (82 cells), an orbit that left |z| < 2 r_K before
+    # it was decided.  Lower degrees move cells inside it too: of the cells
+    # moved by n_5 = 5 (34) and n_5 = 32 (48), 8 and 2 lie outside that set
+    # (at 256x256: 270 of 766 and 20 of 572, against 0 of 614 for 1024)
+    p, zx, zy, steps = _template_points("canonical-doubling")
+
+    def cells(q, radius):
+        return np.rec.fromarrays(
+            _kernels.classify_field(zx, zy, q, steps, radius))
+
+    prefix = cells(p, 64.0)
+    crossed = prefix != cells(p, 2.0 * p.r[-1])
+    longer = ParamSeq(p.r + (2.0 * p.r[-1],), p.n + (1024,))
+    moved = cells(longer, 64.0) != prefix
+    assert moved.any()
+    assert not (moved & ~crossed).any()
 
 
 @pytest.mark.parametrize("name", ["canonical-doubling", "steep-70",
@@ -760,9 +814,11 @@ def test_slow_start_costs_one_evaluation(monkeypatch):
 
 
 def _settled_at(profile, z, hlm, re_h, flagged, m, radius=64.0):
-    # the certificate on one hand-made orbit state
+    # the certificate on one hand-made orbit state, which meets its
+    # precondition
     x, y, lm, re = (np.array([v]) for v in (z.real, z.imag, hlm, re_h))
     columns = _kernels._factor_columns(_kernels.prepared(make_toy(profile)))
+    assert _screened(x, y, re, m, columns[0]).all()
     return bool(_kernels._settled(x, y, lm, re, np.array([flagged]), m,
                                   columns, radius * radius)[0])
 

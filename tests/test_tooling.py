@@ -1,8 +1,9 @@
 """Static checks on the source tree: the traced benchmark run wraps library
 functions by module and name (`perfbench/tracing.py`), so every name it lists
-must still exist; no module keeps an import it does not use; no comment
-or string cites a ROADMAP item by number, since the items are renumbered;
-and every committed BENCH file records what its claim rests on."""
+must still exist; no module keeps an import it does not use, and no function
+a local name it does not read; no comment or string cites a ROADMAP item by
+number, since the items are renumbered; and every committed BENCH file
+records what its claim rests on."""
 
 import ast
 import importlib
@@ -55,6 +56,26 @@ def test_no_unused_imports():
                if p.name != "__init__.py"]
     assert modules
     assert [u for p in modules for u in _unused_imports(p)] == []
+
+
+def _unread_locals(path):
+    # names a function binds and neither it nor a function nested in it
+    # reads; `_` is the name for a value left unread on purpose
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(fn, ast.FunctionDef):
+            names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            found |= {f"{path.name}:{n.lineno} {n.id}" for n in names
+                      if isinstance(n.ctx, ast.Store)
+                      and n.id not in read | {"_"}}
+    return sorted(found)
+
+
+def test_no_unread_local_names():
+    modules = sorted((ROOT / "src" / "bakerlab").glob("*.py"))
+    assert modules
+    assert [u for p in modules for u in _unread_locals(p)] == []
 
 
 def _item_citations(path):
