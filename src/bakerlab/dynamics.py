@@ -4,11 +4,12 @@ batch grid classification and the binary grid file format.
 `run_row_bands` samples a rectangle for both grid classification and phase
 portraits: chunks of a bounded number of points, built from the two axis
 vectors and written by the caller into arrays it owns, in one row band
-unless more threads are asked for (at most `MAX_BANDS`).  Every pixel is an
-independent pure computation, so output bytes are identical for any thread
-count and chunk size.  Scalar `iterate` and the batch kernels implement the
-same stepping rule and are cross-checked in the tests; `iterate` takes its
-near-zero test (`hfun.EvalResult.near_zero`) and its budget check
+unless more are asked for (at most `MAX_BANDS`), which then run in order on
+one worker thread.  Every pixel is an independent pure computation, so
+output bytes are identical for any band count and chunk size.  Scalar
+`iterate` and the batch kernels implement the same stepping rule and are
+cross-checked in the tests; `iterate` takes its near-zero test
+(`hfun.EvalResult.near_zero`) and its budget check
 (`_kernels.check_orbit_budget`) from the classifier's own.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -155,7 +155,8 @@ def axis_coords(lo: float, hi: float, n: int) -> np.ndarray:
     return center + (hi - lo) * t
 
 
-# a large thread request must not start one OS thread per row
+# a large thread request must not cut the grid into one band per row: each
+# band makes kernel calls of its own, and each call pays its per-step cost
 MAX_BANDS = 8
 # points per classify_field call: each step pays a fixed cost per call that
 # all of the call's survivors share, so smaller chunks lose; one call per
@@ -178,8 +179,12 @@ def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
     ``0 .. rows - 1`` is evaluated (every row by default); the sampling is
     still that of the whole ny-row grid, from the lowest imaginary part up.
     The evaluated rows split into ``min(threads, rows, MAX_BANDS)`` bands;
-    with more than one, each band runs on its own pool thread.
-    `classify_grid`'s bands take turns on their calls (its docstring).
+    with more than one, the bands run one after another on a single pool
+    thread, whatever their number.  Concurrent bands never paid: numpy
+    releases the interpreter lock around each loop over about 500 elements
+    or more, so they handed it over on nearly every numpy call, and each
+    thread brought a malloc arena of its own that raised the peak heap
+    (README, "Backends and threads").
     """
     if threads < 1:
         raise ValueError("thread count must be >= 1")
@@ -204,8 +209,12 @@ def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
     if len(bands) == 1:
         run_band(bands[0])
         return
-    with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-        list(pool.map(run_band, bands))
+    # submit, not map: map cancels the bands not yet started once one
+    # fails; here every band runs and the first failure is raised
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        done = [pool.submit(run_band, band) for band in bands]
+    for future in done:
+        future.result()
 
 
 def classify_grid(rect: tuple[complex, complex], nx: int, ny: int,
@@ -213,23 +222,16 @@ def classify_grid(rect: tuple[complex, complex], nx: int, ny: int,
                   escape_radius: Optional[float] = None,
                   threads: int = 1) -> Grid:
     """Per-pixel orbit classification over a rectangle (see `run_row_bands`
-    for the sampling).
-
-    The bands take turns on whole `_kernels.classify_field` calls.  Most
-    classifier steps hold a few thousand active orbits, and numpy releases
-    the interpreter lock only around loops over about 500 elements or more,
-    so bands that stepped at once handed it over on nearly every numpy call.
-    """
+    for the sampling and the bands), one `_kernels.classify_field` call per
+    chunk of a band."""
     if escape_radius is None:
         escape_radius = default_escape_radius(p)
     status = np.empty(nx * ny, dtype=np.uint8)
     step = np.empty(nx * ny, dtype=np.uint32)
-    turn = threading.Lock()
 
     def chunk(zx, zy, sl):
-        with turn:
-            status[sl], step[sl] = _kernels.classify_field(
-                zx, zy, p, max_steps, escape_radius)
+        status[sl], step[sl] = _kernels.classify_field(
+            zx, zy, p, max_steps, escape_radius)
 
     run_row_bands(rect, nx, ny, threads, CLASSIFY_CHUNK, chunk)
     return Grid(nx=nx, ny=ny, status=status.reshape(ny, nx),
@@ -264,11 +266,10 @@ def read_grid(path) -> Grid:
     digest = raw[off:off + 32]
     off += 32
     expected = nx * ny * _CELL_DTYPE.itemsize
-    body = raw[off:]
-    if len(body) != expected:
+    if len(raw) - off != expected:
         raise ValueError(
-            f"grid file body is {len(body)} bytes, expected {expected}")
-    cells = np.frombuffer(body, dtype=_CELL_DTYPE)
+            f"grid file body is {len(raw) - off} bytes, expected {expected}")
+    cells = np.frombuffer(raw, dtype=_CELL_DTYPE, offset=off)
     status, step = cells["status"], cells["step"]
     if status.max() > STATUS_ESCAPED_AFTER_NEAR_ZERO:
         raise ValueError("grid file holds a status byte above "

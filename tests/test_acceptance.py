@@ -1,7 +1,7 @@
 """Acceptance gate: the eleven end-to-end criteria, one test each, checks
-that criteria 1, 2, 6, 7 and 9 fail on a broken formula, that a criterion
-over its time budget fails, and a check that `run_all` runs each criterion
-once, in order.
+that criteria 1, 2, 6, 7 and 9 fail on a broken formula, that criterion 2
+gives a verdict at the origin, that a criterion over its time budget fails,
+and a check that `run_all` runs each criterion once, in order.
 
 Each test runs its criterion under the runtime budget baked into
 bakerlab.acceptance and prints a single PASS/FAIL line with the measured
@@ -11,6 +11,7 @@ detail (visible with `pytest -rA` or `-s`).
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bakerlab import acceptance, hfun, hyperbolic, verify
@@ -84,6 +85,17 @@ def test_criterion_fails_on_a_broken_input(monkeypatch, index, name, broken,
     passed, got = getattr(acceptance, f"criterion_{index}")()
     assert not passed
     assert detail in got
+
+
+def test_criterion_02_holds_at_the_origin(monkeypatch):
+    # eval_h's truncation bound is exactly 0 at z = 0, where the K-1 -> K
+    # jump is 0 too: a verdict, not a division by zero
+    sample = acceptance.sample_disk
+    monkeypatch.setattr(acceptance, "sample_disk", lambda rng, count, radius:
+                        np.concatenate(([0j], sample(rng, count, radius))))
+    passed, detail = acceptance.criterion_2()
+    assert passed
+    assert detail.startswith("1001 points, 0 over the bound or without one")
 
 
 def test_criterion_over_its_budget_fails(monkeypatch):

@@ -4,9 +4,9 @@ import cmath
 import hashlib
 import math
 import struct
-import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -342,71 +342,59 @@ class TestGrid:
         assert np.array_equal(g.status.ravel(), status)
         assert np.array_equal(g.step.ravel(), step)
 
-    def test_two_bands_take_turns_on_classify_calls(self, monkeypatch):
-        # each evaluation sleeps 1 ms, which lets the other band run, so
-        # without the lock the two bands' evaluations would overlap
-        spans = {}
-        inner = _kernels._h_field_numpy
+    def test_bands_run_in_order_on_one_worker_thread(self, monkeypatch):
+        # two bands of a grid and of a portrait: their kernel calls run on
+        # one thread, not the caller's, the lower band first and without
+        # overlap, and give the bytes of one band
+        spans = []
 
-        def timed(*args):
-            t0 = time.perf_counter()
-            time.sleep(0.001)
-            out = inner(*args)
-            spans.setdefault(threading.get_ident(), []).append(
-                (t0, time.perf_counter()))
-            return out
+        def timed(fn):
+            def call(zx, zy, *args):
+                t0 = time.perf_counter()
+                out = fn(zx, zy, *args)
+                spans.append((threading.get_ident(), zy[0], t0,
+                              time.perf_counter()))
+                return out
+            return call
 
-        one = classify_grid((-8 - 8j, 8 + 8j), 64, 64, DOUBLING, max_steps=40)
-        monkeypatch.setattr(_kernels, "_h_field_numpy", timed)
-        two = classify_grid((-8 - 8j, 8 + 8j), 64, 64, DOUBLING, max_steps=40,
-                            threads=2)
-        assert np.array_equal(two.status, one.status)
-        assert np.array_equal(two.step, one.step)
-        assert len(spans) == 2
-        first, second = spans.values()
-        assert [(a, b) for a in first for b in second
-                if a[0] < b[1] and b[0] < a[1]] == []
+        def grid(threads):
+            g = classify_grid((-8 - 8j, 8 + 8j), 64, 64, DOUBLING,
+                              max_steps=40, threads=threads)
+            return g.status.tobytes() + g.step.tobytes()
+
+        def portrait(threads):
+            return render_phase((-2 - 1j, 2 + 3j), 16, 16, DOUBLING,
+                                threads=threads)
+
+        for run, name in ((grid, "classify_field"), (portrait, "h_field")):
+            one = run(1)
+            spans.clear()
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, name, timed(getattr(_kernels, name)))
+                assert run(2) == one
+            assert len(spans) == 2
+            (first, y0, _, end0), (second, y1, start1, _) = spans
+            assert first == second != threading.get_ident()
+            assert y0 < y1 and end0 <= start1
 
     def test_a_failed_classify_call_lets_the_other_band_run(self,
                                                             monkeypatch):
-        # the first call fails while it holds the lock and the other band
-        # waits for it; the other band's call must still run, and the error
-        # must reach the caller
+        # the first band's call fails; the second band's call still runs,
+        # and the error reaches the caller
         calls = []
         inner = _kernels.classify_field
-
-        def waiting():
-            # a band that waits for the lock is stopped in `chunk`, the
-            # closure of `classify_grid` that takes it
-            me = threading.get_ident()
-            return any(f.f_code.co_name == "chunk"
-                       for t, f in sys._current_frames().items() if t != me)
 
         def first_fails(*args):
             calls.append(None)
             if len(calls) == 1:
-                deadline = time.monotonic() + 10
-                while not waiting() and time.monotonic() < deadline:
-                    time.sleep(0.001)
                 raise MemoryError("Unable to allocate")
             return inner(*args)
 
         monkeypatch.setattr(_kernels, "classify_field", first_fails)
-        raised = []
-
-        def run():
-            try:
-                classify_grid((-2 - 2j, 2 + 2j), 8, 8, DOUBLING, max_steps=5,
-                              threads=2)
-            except MemoryError as exc:
-                raised.append(exc)
-
-        # a lock left held would stop the other band for good
-        t = threading.Thread(target=run, daemon=True)
-        t.start()
-        t.join(30)
-        assert not t.is_alive()
-        assert len(raised) == 1 and len(calls) == 2
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            classify_grid((-2 - 2j, 2 + 2j), 8, 8, DOUBLING, max_steps=5,
+                          threads=2)
+        assert len(calls) == 2
 
     def test_corner_order_is_irrelevant(self):
         a = classify_grid((-3 - 3j, 3 + 3j), 9, 9, DOUBLING, max_steps=10)
@@ -444,13 +432,15 @@ class TestAxisCoords:
 
 
 class _FakePool:
-    """Stands in for ThreadPoolExecutor: records the pool size and runs the
-    bands in order on the calling thread, so no thread is started."""
+    """Stands in for ThreadPoolExecutor: checks that it has one worker,
+    counts the bands submitted to it and runs each at once on the calling
+    thread, so no thread is started."""
 
-    sizes: list = []
+    bands: list = []
 
     def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+        assert max_workers == 1
+        self.bands.append(0)
 
     def __enter__(self):
         return self
@@ -458,14 +448,16 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, band):
+        self.bands[-1] += 1
+        fn(band)
+        return SimpleNamespace(result=lambda: None)
 
 
 class TestThreads:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
-        monkeypatch.setattr(_FakePool, "sizes", [])
+        monkeypatch.setattr(_FakePool, "bands", [])
         monkeypatch.setattr(dynamics, "ThreadPoolExecutor", _FakePool)
 
     @staticmethod
@@ -474,12 +466,12 @@ class TestThreads:
         dynamics.run_row_bands((-1 - 1j, 1 + 1j), 2, ny, threads, 2,
                                lambda zx, zy, sl: rows.append(sl))
         assert sorted(sl.start for sl in rows) == list(range(0, 2 * ny, 2))
-        return _FakePool.sizes
+        return _FakePool.bands
 
     def test_default_runs_without_a_pool(self):
         classify_grid((-1 - 1j, 1 + 1j), 4, 4, DOUBLING, max_steps=2)
         render_phase((-1 - 1j, 1 + 1j), 4, 4, DOUBLING)
-        assert _FakePool.sizes == []
+        assert _FakePool.bands == []
 
     def test_explicit_wins(self):
         assert self._bands(16, 3) == [3]
@@ -494,7 +486,7 @@ class TestThreads:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="thread count"):
             self._bands(4, 0)
-        assert _FakePool.sizes == []
+        assert _FakePool.bands == []
 
     def test_cli_threads(self, tmp_path, capsys):
         out = tmp_path / "g.bkg"
@@ -503,4 +495,4 @@ class TestThreads:
         assert cli.main(argv + ["--threads", "0"]) == 2
         assert not out.exists() and "thread count" in capsys.readouterr().err
         assert cli.main(argv + ["--threads", "1000000"]) == 0
-        assert _FakePool.sizes == [dynamics.MAX_BANDS]
+        assert _FakePool.bands == [dynamics.MAX_BANDS]
