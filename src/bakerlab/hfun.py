@@ -282,20 +282,43 @@ def _gk_panels(panels: list, p: ParamSeq) -> list[tuple[complex, float]]:
     Kronrod value that is not finite marks an overflow: e^{-h} overflows
     once Re h passes about -709.8, and a sum of finite values may overflow
     too.
+
+    The estimate cannot see mass between a panel's ends and its outer
+    nodes, 0.43 % of the panel in from each end, where e^{-h} may fall from
+    order 1 to an underflowed 0.  So a panel whose estimate does not resolve
+    its own value (as when all 15 values are 0, or only an outer node
+    counts) also has e^{-h} evaluated at its ends, in one more batch, and
+    its estimate is at least its length times the larger of the two.  A
+    panel that is 0 at its nodes and ends comes back as exactly (0, 0).
     """
-    ts = np.concatenate([z0 + (0.5 * (ua + ub) + 0.5 * (ub - ua) * _NODES) * dz
-                         for z0, dz, ua, ub in panels])
-    _, lm, ag = _kernels.h_field(ts.real, ts.imag, p)
-    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        re_h, im_h = _kernels.h_cartesian(lm, ag)
-        vals = np.exp(-(re_h + 1j * im_h)).reshape(len(panels), _NODES.size)
+        ts = np.concatenate([z0 + (0.5 * (ua + ub) + 0.5 * (ub - ua) * _NODES)
+                             * dz for z0, dz, ua, ub in panels])
+        vals = _exp_neg_h(ts, p).reshape(len(panels), _NODES.size)
+        out = []
         for (_, dz, ua, ub), v in zip(panels, vals):
             scale = 0.5 * (ub - ua) * dz
             kron = scale * np.sum(_KW * v)
             gauss = scale * np.sum(_GW * v)
             out.append((complex(kron), abs(kron - gauss)))
+        weak = [i for i, (kron, err) in enumerate(out)
+                if not err < 0.5 * abs(kron)]
+        if weak:
+            ends = np.array([z0 + u * dz for z0, dz, ua, ub in
+                             (panels[i] for i in weak) for u in (ua, ub)])
+            peaks = np.abs(_exp_neg_h(ends, p)).reshape(-1, 2).max(axis=1)
+            for i, peak in zip(weak, peaks):
+                _, dz, ua, ub = panels[i]
+                kron, err = out[i]
+                out[i] = (kron, max(err, peak * (ub - ua) * abs(dz)))
     return out
+
+
+def _exp_neg_h(ts: np.ndarray, p: ParamSeq) -> np.ndarray:
+    # e^{-h} at the points ts, by one `_kernels.h_field` call
+    _, lm, ag = _kernels.h_field(ts.real, ts.imag, p)
+    re_h, im_h = _kernels.h_cartesian(lm, ag)
+    return np.exp(-(re_h + 1j * im_h))
 
 
 def _check_positive(name: str, x: float) -> None:
@@ -335,8 +358,10 @@ def _integrate_segments(segments: list, p: ParamSeq) -> list[complex]:
                 raise NonConvergence(
                     f"quadrature depth limit at u in [{ua}, {um}]")
             left, right = _gk_panels([(z0, dz, ua, um), (z0, dz, um, ub)], p)
-            stack += [(um, ub, 0.5 * tol_loc, depth + 1, right),
-                      (ua, um, 0.5 * tol_loc, depth + 1, left)]
+            # a half that is 0 at its nodes and ends needs no share of tol
+            share = tol_loc if (0j, 0.0) in (left, right) else 0.5 * tol_loc
+            stack += [(um, ub, share, depth + 1, right),
+                      (ua, um, share, depth + 1, left)]
         out.append(total)
     return out
 

@@ -4,7 +4,8 @@ These recompute the same quantities as the package by a different route:
 plain product formulas at extended precision, no log-polar bookkeeping, no
 compensated reductions.  Frozen constants in the tests were produced with
 these helpers; a handful of tests also call them live to keep the two
-routes honestly coupled.
+routes honestly coupled.  `rect_points` is the reference sampler of a
+whole rect, against which banded and batched evaluation is compared.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
+
+from bakerlab.dynamics import axis_coords
 
 PREC = 200
 
@@ -22,14 +26,18 @@ def _ctx():
     return ctx
 
 
+def _ring(ctx, z, r, n):
+    # prod_k (1 + (z/r_k)^n_k) for an mpmath number z of ctx
+    acc = ctx.mpf(1)
+    for rk, nk in zip(r, n):
+        acc *= 1 + (z / rk) ** int(nk)
+    return acc
+
+
 def h_ref(z, r, n):
     """The ring product at slow full precision."""
     ctx = _ctx()
-    zz = ctx.mpc(complex(z).real, complex(z).imag)
-    acc = ctx.mpf(1)
-    for rk, nk in zip(r, n):
-        acc *= 1 + (zz / rk) ** int(nk)
-    return acc
+    return _ring(ctx, ctx.mpc(complex(z).real, complex(z).imag), r, n)
 
 
 def condition_sum_ref(z, r, n):
@@ -68,9 +76,7 @@ def orbit_ref(z0, r, n, max_steps, escape_radius):
     ln2 = ctx.log(2)
     status, step = 0, 0
     for s in range(max_steps):
-        h = ctx.mpf(1)
-        for rk, nk in zip(r, n):
-            h *= 1 + (z / rk) ** int(nk)
+        h = _ring(ctx, z, r, n)
         if status == 0 and abs(h) < ln2:
             status, step = 2, s
         if h.real > 700:
@@ -138,11 +144,14 @@ def theta_ref(phi: float) -> float:
 def integral_exp_neg_h_ref(a: float, b: float, r, n) -> complex:
     """Real-axis integral of e^{-h} at full precision via mp.quad."""
     ctx = _ctx()
+    return complex(ctx.quad(lambda t: ctx.exp(-_ring(ctx, t, r, n)), [a, b]))
 
-    def fn(t):
-        acc = ctx.mpf(1)
-        for rk, nk in zip(r, n):
-            acc *= 1 + (t / rk) ** int(nk)
-        return ctx.exp(-acc)
 
-    return complex(ctx.quad(fn, [a, b]))
+def rect_points(rect, nx, ny):
+    """The nx x ny pixel centres of the rect with opposite corners rect[0]
+    and rect[1], in either order, as flat row-major (x, y) arrays: every
+    pixel of the rect in one batch."""
+    z0, z1 = complex(rect[0]), complex(rect[1])
+    xs = axis_coords(min(z0.real, z1.real), max(z0.real, z1.real), nx)
+    ys = axis_coords(min(z0.imag, z1.imag), max(z0.imag, z1.imag), ny)
+    return np.tile(xs, ny), np.repeat(ys, nx)

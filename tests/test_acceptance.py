@@ -54,7 +54,16 @@ def test_criterion_07_hyperbolic_metric_suite():
     _run(7)
 
 
+def _few_samples(monkeypatch):
+    # the failure tests run criterion 7's families on 200 samples each, so
+    # that tier-1 draws its 5 x 10000 samples once
+    run_check = acceptance.run_check
+    monkeypatch.setattr(acceptance, "run_check",
+                        lambda name, rng, samples: run_check(name, rng, 200))
+
+
 def test_criterion_07_fails_on_a_wrong_distance(monkeypatch):
+    _few_samples(monkeypatch)
     true_distance = hyperbolic.disk_distance
     monkeypatch.setattr(hyperbolic, "disk_distance",
                         lambda a, b, d=hyperbolic.UNIT_DISK:
@@ -81,6 +90,7 @@ def test_criterion_fails_on_a_broken_input(monkeypatch, index, name, broken,
                                            detail):
     # each criterion reads the name from `acceptance`'s own namespace; the
     # broken ones call the originals through `hfun`
+    _few_samples(monkeypatch)
     monkeypatch.setattr(acceptance, name, broken)
     passed, got = getattr(acceptance, f"criterion_{index}")()
     assert not passed

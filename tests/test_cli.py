@@ -26,6 +26,31 @@ def run_cli(capsys, *argv):
     return code, lines, out.err
 
 
+def exits_2(capsys, *argv):
+    """Run cli.main on argv, check the exit-2 contract and return the error
+    message: exit 2, nothing on stdout and one stderr line with `error: `.
+    A configuration error returns 2 and that line is all of stderr, starting
+    `error: `; a usage error raises SystemExit(2) from argparse, whose usage
+    lines come first and whose line reads `bakerlab <command>: error: `.  A
+    numpy warning, which a run would print to stderr too, fails the suite
+    by itself (pyproject's filterwarnings)."""
+    try:
+        code, usage = cli.main(list(argv)), False
+    except SystemExit as exc:
+        code, usage = exc.code, True
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert err.endswith("\n") and sum("error: " in ln for ln in lines) == 1
+    if usage:
+        head, _, msg = lines[-1].partition(": error: ")
+        assert lines[0].startswith("usage: bakerlab")
+        assert head.startswith("bakerlab")
+        return msg
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0][len("error: "):]
+
+
 def test_params_show(capsys):
     code, lines, _ = run_cli(capsys, "params", "--profile", "doubling")
     assert code == 0
@@ -55,9 +80,8 @@ def test_params_from_file(capsys, tmp_path):
 
 
 def test_params_file_missing_is_config_error(capsys):
-    code, _, err = run_cli(capsys, "params", "--params", "/nope/missing.json")
-    assert code == 2
-    assert "error" in err
+    assert exits_2(capsys, "params", "--params", "/nope/missing.json") == (
+        "[Errno 2] No such file or directory: '/nope/missing.json'")
 
 
 def test_eval_h_and_f(capsys):
@@ -119,25 +143,22 @@ def test_eval_g(capsys):
 
 
 def test_eval_g_integrand_overflow_is_config_error(capsys):
-    # Re h falls below -709.78 on this segment while log|h| stays small
-    code, lines, err = run_cli(capsys, "eval", "--profile", "doubling",
-                               "--z", "0,9", "--what", "g")
-    assert code == 2
-    assert lines == []
-    assert err.startswith("error: integrand overflow") and err.count("\n") == 1
+    # 0,9: Re h falls below -709.78 on this segment while log|h| stays
+    # small; 1e308,1e308: the nodes of the root panel overflow
+    for z in ("0,9", "1e308,1e308"):
+        assert exits_2(capsys, "eval", "--profile", "doubling", "--z", z,
+                       "--what", "g").startswith("integrand overflow")
 
 
 def test_eval_g_depth_limit_is_config_error(capsys):
-    code, lines, err = run_cli(capsys, "eval", "--profile", "doubling",
-                               "--z", "1,0", "--what", "g", "--tol", "1e-300")
-    assert (code, lines) == (2, [])
-    assert err.startswith("error: quadrature depth limit")
+    assert exits_2(capsys, "eval", "--profile", "doubling", "--z", "1,0",
+                   "--what", "g", "--tol", "1e-300").startswith(
+                       "quadrature depth limit")
 
 
 @pytest.mark.parametrize("z, err_start", [
-    ("-701000,0",
-     "error: g = exp(-integral) overflows at z = (-701000.0, 0.0)"),
-    ("-705000,0", "error: integrand overflow"),
+    ("-701000,0", "g = exp(-integral) overflows at z = (-701000.0, 0.0)"),
+    ("-705000,0", "integrand overflow"),
 ], ids=["exp", "panel"])
 def test_eval_g_overflow_is_config_error(capsys, tmp_path, z, err_start):
     # h(z) = 1 + z/1000: the integral of e^{-h} to -701000 is about -e^706.9,
@@ -145,36 +166,37 @@ def test_eval_g_overflow_is_config_error(capsys, tmp_path, z, err_start):
     # panel's sum overflows itself
     path = tmp_path / "lin.json"
     path.write_text(json.dumps({"r": [1000.0], "n": [1]}))
-    code, lines, err = run_cli(capsys, "eval", "--params", str(path),
-                               f"--z={z}", "--what", "g", "--tol", "1e305")
-    assert (code, lines) == (2, [])
-    assert err.startswith(err_start) and err.count("\n") == 1
+    assert exits_2(capsys, "eval", "--params", str(path), f"--z={z}",
+                   "--what", "g", "--tol", "1e305").startswith(err_start)
 
 
-@pytest.mark.parametrize("n", [[True, 2], [1, 1 << 53], [1, 2.5], None],
-                         ids=["bool", "2**53", "float", "missing"])
+@pytest.mark.parametrize("n, err_start", [
+    ([True, 2], "degree n_1=True is not an integer >= 1"),
+    ([1, 1 << 53], "degree n_2=9007199254740992 is not below 2**53"),
+    ([1, 2.5], "degree n_2=2.5 is not an integer >= 2"),
+    (None, "malformed parameter file"),
+], ids=["bool", "2**53", "float", "missing"])
 @pytest.mark.parametrize("argv", [
     ["params"], ["eval", "--z", "1,0"],
     ["grid", "--rect=-1,-1,1,1", "--nx", "2", "--ny", "2"],
 ], ids=["params", "eval", "grid"])
-def test_inadmissible_degrees_are_config_errors(capsys, tmp_path, argv, n):
+def test_inadmissible_degrees_are_config_errors(capsys, tmp_path, argv, n,
+                                                err_start):
     # n=None writes a file without the key
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"r": [2.0, 4.0]} if n is None
                                else {"r": [2.0, 4.0], "n": n}))
     extra = ["--out", str(tmp_path / "g.bkg")] if argv[0] == "grid" else []
-    code, lines, err = run_cli(capsys, *argv, "--params", str(path), *extra)
-    assert code == 2
-    assert lines == [] and "error" in err
+    assert exits_2(capsys, *argv, "--params", str(path),
+                   *extra).startswith(err_start)
 
 
 def test_params_file_with_string_radii_is_config_error(capsys, tmp_path):
     # a JSON string r = "48" used to load as the radii (4.0, 8.0), exit 0
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"r": "48", "n": [1, 2]}))
-    code, lines, err = run_cli(capsys, "params", "--params", str(path))
-    assert (code, lines) == (2, [])
-    assert err.startswith("error: malformed parameter file")
+    assert exits_2(capsys, "params", "--params", str(path)).startswith(
+        "malformed parameter file")
 
 
 @pytest.mark.parametrize("r, element", [
@@ -186,10 +208,9 @@ def test_params_file_with_non_number_radius_is_config_error(
     # both used to load, as (4.0, 8.0) and (1.0, 8.0), with exit 0
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"r": r, "n": [1, 2]}))
-    code, lines, err = run_cli(capsys, "params", "--params", str(path))
-    assert (code, lines) == (2, [])
-    assert err.startswith("error: malformed parameter file")
-    assert f"radius {element} is not a number" in err
+    msg = exits_2(capsys, "params", "--params", str(path))
+    assert msg.startswith("malformed parameter file")
+    assert f"radius {element} is not a number" in msg
 
 
 @pytest.mark.parametrize("check", ["2b", "2c"])
@@ -197,19 +218,16 @@ def test_overflowing_probe_radius_is_config_error(capsys, tmp_path, check):
     # s_2 = r_2 (1 + 1/n_2) is inf; the reports used to print NaN, exit 0
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"r": [1e308, 1.7e308], "n": [1, 2]}))
-    code, lines, err = run_cli(capsys, "verify", "--check", check, "--k", "2",
-                               "--params", str(path))
-    assert code == 2
-    assert lines == [] and "probe radii" in err
+    assert "probe radii" in exits_2(capsys, "verify", "--check", check,
+                                    "--k", "2", "--params", str(path))
 
 
 def test_grid_rejects_zero_steps(capsys, tmp_path):
     gpath = tmp_path / "g.bkg"
-    code, lines, err = run_cli(capsys, "grid", "--profile", "doubling",
-                               "--rect=-1,-1,1,1", "--nx", "2", "--ny", "2",
-                               "--steps", "0", "--out", str(gpath))
-    assert code == 2
-    assert not gpath.exists() and "max_steps" in err
+    assert "max_steps" in exits_2(capsys, "grid", "--profile", "doubling",
+                                  "--rect=-1,-1,1,1", "--nx", "2", "--ny",
+                                  "2", "--steps", "0", "--out", str(gpath))
+    assert not gpath.exists()
 
 
 # from 1.34e154 on R*R overflows and the test x*x + y*y > R*R never fires
@@ -221,21 +239,19 @@ def test_escape_radius_inside_last_ring_is_rejected(capsys, tmp_path, command,
     argv = (["grid", "--rect=-1,-1,1,1", "--nx", "2", "--ny", "2",
              "--out", str(gpath)] if command == "grid"
             else ["orbit", "--z", "0,0"])
-    code, lines, err = run_cli(capsys, *argv, "--profile", "doubling",
-                               "--escape-radius", radius)
-    assert code == 2
-    assert lines == [] and "escape_radius" in err
+    assert "escape_radius" in exits_2(capsys, *argv, "--profile", "doubling",
+                                      "--escape-radius", radius)
     assert not gpath.exists()
 
 
-def test_bad_complex_is_usage_error():
-    for argv in (["eval", "--z", "one+two"],
-                 ["eval", "--what", "g", "--z=inf,0"],
-                 ["orbit", "--z=0,nan"],
-                 ["obstruct", "--k", "2", "--t", "0.3", "--c=nan,0"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--profile", "doubling"])
-        assert exc.value.code == 2, argv
+def test_bad_complex_is_usage_error(capsys):
+    for argv, option in ((["eval", "--z", "one+two"], "--z"),
+                         (["eval", "--what", "g", "--z=inf,0"], "--z"),
+                         (["orbit", "--z=0,nan"], "--z"),
+                         (["obstruct", "--k", "2", "--t", "0.3", "--c=nan,0"],
+                          "--c")):
+        assert exits_2(capsys, *argv, "--profile", "doubling").startswith(
+            f"argument {option}: ")
 
 
 def test_successive_calls_keep_their_outputs_and_exit_codes(capsys):
@@ -244,27 +260,25 @@ def test_successive_calls_keep_their_outputs_and_exit_codes(capsys):
     assert cli.build_parser() is cli.build_parser()
     calls = [("params", "--profile", "doubling"),
              ("params", "--profile", "doubling", "--validate"),
-             ("params", "--params", "/nope/missing.json"),
              ("eval", "--profile", "steep", "--z", "0.5,0.25")]
+    missing = ("params", "--params", "/nope/missing.json")
     first = [run_cli(capsys, *argv) for argv in calls]
-    assert [code for code, _, _ in first] == [0, 1, 2, 0]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["eval", "--z", "one+two", "--profile", "doubling"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert [code for code, _, _ in first] == [0, 1, 0]
+    config_error = exits_2(capsys, *missing)
+    exits_2(capsys, "eval", "--z", "one+two", "--profile", "doubling")
     assert [run_cli(capsys, *argv) for argv in reversed(calls)] == first[::-1]
+    assert exits_2(capsys, *missing) == config_error
 
 
-def test_profile_and_file_are_exclusive():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["params", "--profile", "doubling", "--params", "x.json"])
-    assert exc.value.code == 2
+def test_profile_and_file_are_exclusive(capsys):
+    assert exits_2(capsys, "params", "--profile", "doubling", "--params",
+                   "x.json") == ("argument --params: not allowed with "
+                                 "argument --profile")
 
 
-def test_hyp_requires_seed():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["hyp", "--check", "lemma2", "--samples", "10"])
-    assert exc.value.code == 2
+def test_hyp_requires_seed(capsys):
+    assert exits_2(capsys, "hyp", "--check", "lemma2", "--samples", "10") == (
+        "the following arguments are required: --seed")
 
 
 def test_hyp_seeded_and_reproducible(capsys):
@@ -339,7 +353,7 @@ def test_verify_2b_2c_with_csv(capsys, tmp_path, check, keys, header):
         "orbit-steps", "eval-tol-nan", "eval-tol-nan-at-0",
         "eval-tol-negative-at-0", "eval-tol-inf"])
 def test_out_of_range_options_are_config_errors(capsys, argv, err):
-    assert run_cli(capsys, *argv) == (2, [], f"error: {err}\n")
+    assert exits_2(capsys, *argv) == err
 
 
 def test_verify_2c_json(capsys):
@@ -357,17 +371,14 @@ def test_verify_2c_json(capsys):
     ["verify", "--profile", "doubling", "--check", "2c", "--k", "2"],
 ], ids=["hyp", "2a", "2b", "2c"])
 def test_non_positive_samples_are_config_errors(capsys, argv, samples):
-    code, lines, err = run_cli(capsys, *argv, "--samples", samples)
-    assert code == 2
-    assert lines == []
-    assert err == "error: samples must be >= 1\n"
+    assert exits_2(capsys, *argv, "--samples", samples) == (
+        "samples must be >= 1")
 
 
 def test_verify_bad_ring_is_config_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--profile", "doubling",
-                           "--check", "2a", "--k", "9")
-    assert code == 2
-    assert "error" in err
+    assert exits_2(capsys, "verify", "--profile", "doubling", "--check", "2a",
+                   "--k", "9") == ("k must be in [2, 4] (ring index with m_k "
+                                   "defined)")
 
 
 def test_obstruct_report(capsys):
@@ -410,10 +421,9 @@ def test_obstruct_overflow_is_config_error(capsys, tmp_path, r_2):
     # 1e160 printed "dist_b": "inf" with exit 0, 1e250 a bare errno tuple
     path = tmp_path / "p.json"
     path.write_text(f'{{"r": [1e150, {r_2}], "n": [1, {2**40}]}}')
-    code, lines, err = run_cli(capsys, "obstruct", "--params", str(path),
-                               "--k", "2", "--t", "0.3")
-    assert (code, lines) == (2, [])
-    assert err == f"error: obstruction chain: dist_b overflows at r_k = {r_2}\n"
+    assert exits_2(capsys, "obstruct", "--params", str(path), "--k", "2",
+                   "--t", "0.3") == (
+        f"obstruction chain: dist_b overflows at r_k = {r_2}")
 
 
 @pytest.mark.parametrize("profile", ["doubling", "paper2"])
@@ -427,9 +437,8 @@ def test_ring_index_rule_has_one_message(capsys, profile):
         assert str(exc.value) == msg
         for argv in (["verify", "--check", "2a"], ["verify", "--check", "2b"],
                      ["verify", "--check", "2c"], ["obstruct", "--t", "0.1"]):
-            code, lines, err = run_cli(capsys, *argv, "--profile", profile,
-                                       "--k", str(k))
-            assert (code, lines, err) == (2, [], f"error: {msg}\n")
+            assert exits_2(capsys, *argv, "--profile", profile,
+                           "--k", str(k)) == msg
 
 
 def test_orbit_lines(capsys):
@@ -477,11 +486,9 @@ def test_out_of_memory_is_config_error(capsys, monkeypatch, tmp_path, argv,
 
     monkeypatch.setattr(cli, target, no_memory)
     out = tmp_path / "out"
-    code, lines, err = run_cli(capsys, *argv, "--profile", "doubling",
-                               "--rect=-1,-1,1,1", "--nx", "1000000",
-                               "--ny", "1000000", "--out", str(out))
-    assert (code, lines) == (2, [])
-    assert err == "error: Unable to allocate 931. GiB\n"
+    assert exits_2(capsys, *argv, "--profile", "doubling", "--rect=-1,-1,1,1",
+                   "--nx", "1000000", "--ny", "1000000", "--out",
+                   str(out)) == "Unable to allocate 931. GiB"
     assert not out.exists()
 
 
@@ -494,11 +501,9 @@ def test_out_of_memory_is_config_error(capsys, monkeypatch, tmp_path, argv,
 def test_rect_must_be_finite(capsys, tmp_path, command, rect):
     out = tmp_path / "out"
     argv = ["grid"] if command == "grid" else ["render", "phase"]
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--profile", "doubling", f"--rect={rect}",
-                  "--nx", "4", "--ny", "4", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "--rect" in capsys.readouterr().err
+    assert exits_2(capsys, *argv, "--profile", "doubling", f"--rect={rect}",
+                   "--nx", "4", "--ny", "4", "--out", str(out)).startswith(
+                       "argument --rect: ")
     assert not out.exists()
 
 
@@ -512,10 +517,8 @@ def test_selftest_single_criterion(capsys):
 
 @pytest.mark.parametrize("index", ["0", "-1", "12"])
 def test_selftest_rejects_criterion_out_of_range(capsys, index):
-    code, lines, err = run_cli(capsys, "selftest", "--only", index)
-    assert code == 2
-    assert lines == []
-    assert err == "error: criterion index must be in 1..11\n"
+    assert exits_2(capsys, "selftest", "--only", index) == (
+        "criterion index must be in 1..11")
 
 
 @pytest.mark.parametrize("exc", [KeyError, IndexError])

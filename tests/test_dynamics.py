@@ -29,6 +29,8 @@ from bakerlab.hfun import eval_f
 from bakerlab.params import ParamSeq, make_toy, params_digest
 from bakerlab.render import render_phase
 
+from _oracles import rect_points
+
 DOUBLING = make_toy("doubling")
 STEEP = make_toy("steep")
 # 140 factors whose product at TINY_H_Z is far below e^-700
@@ -153,16 +155,6 @@ class TestScalarKernelParity:
                  for i in kept]
         assert flags == (status & STATUS_NEAR_ZERO != 0).tolist()
 
-    def test_statuses_and_steps_match_the_kernel(self):
-        rng = np.random.default_rng(9)
-        zx = rng.uniform(-20, 20, 120)
-        zy = rng.uniform(-20, 20, 120)
-        status, step = _kernels.classify_field(zx, zy, DOUBLING, 30, 64.0)
-        for x, y, s, t in zip(zx, zy, status, step):
-            rec = iterate(complex(x, y), DOUBLING, max_steps=30,
-                          escape_radius=64.0)
-            assert (s, t) == rec.cell, (x, y)
-
     @pytest.mark.parametrize("name", ["doubling", "steep", "paper2"])
     def test_every_profile_matches_the_kernel(self, name):
         p = make_toy(name)
@@ -232,18 +224,18 @@ class TestScalarKernelParity:
 
     def test_grid_matches_iterate_pixel_by_pixel(self):
         # iterate runs every step; the kernels stop at a frozen orbit
-        g = classify_grid((-8 - 8j, 8 + 8j), 16, 16, DOUBLING, max_steps=40,
+        rect = (-8 - 8j, 8 + 8j)
+        g = classify_grid(rect, 16, 16, DOUBLING, max_steps=40,
                           escape_radius=64.0)
-        xs = axis_coords(-8.0, 8.0, 16)
         frozen_flagged = 0
-        for j, y in enumerate(xs):
-            for i, x in enumerate(xs):
-                rec = iterate(complex(x, y), DOUBLING, max_steps=40,
-                              escape_radius=64.0)
-                assert (g.status[j, i], g.step[j, i]) == rec.cell, (x, y)
-                pts = rec.points
-                frozen_flagged += (rec.status == "near-zero-translation"
-                                   and pts[-1] == pts[-2])
+        for x, y, s, t in zip(*rect_points(rect, 16, 16), g.status.ravel(),
+                              g.step.ravel()):
+            rec = iterate(complex(x, y), DOUBLING, max_steps=40,
+                          escape_radius=64.0)
+            assert (s, t) == rec.cell, (x, y)
+            pts = rec.points
+            frozen_flagged += (rec.status == "near-zero-translation"
+                               and pts[-1] == pts[-2])
         assert frozen_flagged > 0
 
 
@@ -320,25 +312,19 @@ class TestGrid:
         assert match in capsys.readouterr().err
         assert not out.exists()
 
-    def test_thread_count_does_not_change_bytes(self):
-        grids = [classify_grid((-8 - 8j, 8 + 8j), 64, 64, DOUBLING,
-                               max_steps=25, threads=t) for t in (1, 3, 7)]
-        for g in grids[1:]:
-            assert np.array_equal(g.status, grids[0].status)
-            assert np.array_equal(g.step, grids[0].step)
-
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     def test_grid_is_batching_invariant(self, threads):
         # 300x300 is more than CLASSIFY_CHUNK points: one band takes two
-        # chunks (65536 points, then 24464), two bands one each; the bytes
-        # are those of one classify_field call over every pixel
+        # chunks (65536 points, then 24464), two, three and seven bands one
+        # each; the bytes are those of one classify_field call over every
+        # pixel
         nx = ny = 300
+        rect = (-8 - 8j, 8 + 8j)
         assert nx * ny > dynamics.CLASSIFY_CHUNK
-        g = classify_grid((-8 - 8j, 8 + 8j), nx, ny, DOUBLING, max_steps=3,
+        g = classify_grid(rect, nx, ny, DOUBLING, max_steps=3,
                           escape_radius=64.0, threads=threads)
-        status, step = _kernels.classify_field(
-            np.tile(axis_coords(-8.0, 8.0, nx), ny),
-            np.repeat(axis_coords(-8.0, 8.0, ny), nx), DOUBLING, 3, 64.0)
+        status, step = _kernels.classify_field(*rect_points(rect, nx, ny),
+                                               DOUBLING, 3, 64.0)
         assert np.array_equal(g.status.ravel(), status)
         assert np.array_equal(g.step.ravel(), step)
 

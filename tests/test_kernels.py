@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from bakerlab import _kernels
-from bakerlab.dynamics import axis_coords, classify_grid, iterate
+from bakerlab.dynamics import classify_grid, iterate
 from bakerlab.hfun import eval_h
 from bakerlab.logc import ZERO
 from bakerlab.params import ParamSeq, make_toy
 from bakerlab.verify import obstruction_chain
 
-from _oracles import PREC, condition_sum_ref, h_ref, orbit_ref
+from _oracles import PREC, condition_sum_ref, h_ref, orbit_ref, rect_points
 
 DOUBLING = make_toy("doubling")
 # |log|w|| at which a factor 1 + w leaves the near regime
@@ -520,20 +520,19 @@ _P2_SMALL = 2.0 * math.exp(-FAR) * 0.2  # inside paper2's small-regime edge
 _P2_BIG = 2.0 * math.exp(FAR) * 3.0  # outside its big-regime edge
 DEAD_FACTOR_CASES = {
     # 63 samples a side put one on the origin, where log|z| is -inf
-    "paper2-dead-small": ("paper2", (-_P2_SMALL, -_P2_SMALL,
-                                     _P2_SMALL, _P2_SMALL), 63),
-    "paper2-dead-big": ("paper2", (0.75 * _P2_BIG, -0.25 * _P2_BIG,
-                                   1.25 * _P2_BIG, 0.25 * _P2_BIG), 64),
+    "paper2-dead-small": ("paper2", (-1 - 1j) * _P2_SMALL,
+                          (1 + 1j) * _P2_SMALL, 63),
+    "paper2-dead-big": ("paper2", (0.75 - 0.25j) * _P2_BIG,
+                        (1.25 + 0.25j) * _P2_BIG, 64),
     # straddles ring 2 (|z| = 4) with no pixel inside its dead-free annulus
-    "paper2-dead-mixed": ("paper2", (-4.6, -5.3, 5.4, 4.7), 64),
-    "doubling-none": ("doubling", (-8.0, -8.0, 8.0, 8.0), 64),
+    "paper2-dead-mixed": ("paper2", -4.6 - 5.3j, 5.4 + 4.7j, 64),
+    "doubling-none": ("doubling", -8 - 8j, 8 + 8j, 64),
 }
 
 
 def _dead_factor_points(case):
-    profile, (x0, y0, x1, y1), side = DEAD_FACTOR_CASES[case]
-    xs, ys = axis_coords(x0, x1, side), axis_coords(y0, y1, side)
-    return make_toy(profile), np.tile(xs, side), np.repeat(ys, side)
+    profile, z0, z1, side = DEAD_FACTOR_CASES[case]
+    return make_toy(profile), *rect_points((z0, z1), side, side)
 
 
 @pytest.mark.parametrize("case", sorted(DEAD_FACTOR_CASES))
@@ -647,9 +646,9 @@ ESCAPE_TEMPLATES = {
 
 def _template_points(name, side=64):
     profile, half, c, steps = ESCAPE_TEMPLATES[name]
-    xs = axis_coords(c.real - half, c.real + half, side)
-    ys = axis_coords(c.imag - half, c.imag + half, side)
-    return make_toy(profile), np.tile(xs, side), np.repeat(ys, side), steps
+    corner = complex(half, half)
+    return make_toy(profile), *rect_points((c - corner, c + corner), side,
+                                           side), steps
 
 
 def _screened(x, y, re_h, m, n):
@@ -753,10 +752,8 @@ def test_paper2_disk_square_matches_the_full_precision_orbit():
     # first step disagree
     p = make_toy("paper2")
     rep = obstruction_chain(p, 2, 0.37, complex(5.0), 5.0)
-    half = 2.0 * rep.radius_10
-    xs = axis_coords(rep.z_k.real - half, rep.z_k.real + half, 256)
-    ys = axis_coords(rep.z_k.imag - half, rep.z_k.imag + half, 256)
-    zx, zy = np.tile(xs, 256), np.repeat(ys, 256)
+    corner = complex(2.0 * rep.radius_10, 2.0 * rep.radius_10)
+    zx, zy = rect_points((rep.z_k - corner, rep.z_k + corner), 256, 256)
     pick = np.random.default_rng(22).choice(zx.size, 12, replace=False)
     radius = 4.0 * p.r[-1]
     status, step = _kernels.classify_field(zx[pick], zy[pick], p, 20, radius)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bakerlab import _kernels, render
+from bakerlab import _kernels
 from bakerlab._kernels import h_field
 from bakerlab.dynamics import Grid, axis_coords, classify_grid
 from bakerlab.params import make_toy, params_digest
@@ -17,6 +17,8 @@ from bakerlab.render import (
     render_escape,
     render_phase,
 )
+
+from _oracles import rect_points
 
 DOUBLING = make_toy("doubling")
 
@@ -84,18 +86,9 @@ def test_phase_shade_brightness_monotone():
     assert np.all(np.diff(lum) > 0)
 
 
-def test_phase_render_deterministic_across_threads():
-    a = render_phase((-6 - 6j, 6 + 6j), 48, 48, DOUBLING, threads=1)
-    b = render_phase((-6 - 6j, 6 + 6j), 48, 48, DOUBLING, threads=5)
-    assert a == b
-
-
 def _whole_field(rect, nx, ny, p):
     # (log|h|, arg h) of one h_field call over every pixel, shaped (ny, nx)
-    z0, z1 = complex(rect[0]), complex(rect[1])
-    xs = axis_coords(min(z0.real, z1.real), max(z0.real, z1.real), nx)
-    ys = axis_coords(min(z0.imag, z1.imag), max(z0.imag, z1.imag), ny)
-    _, lm, ag = h_field(np.tile(xs, ny), np.repeat(ys, nx), p)
+    _, lm, ag = h_field(*rect_points(rect, nx, ny), p)
     return lm.reshape(ny, nx), ag.reshape(ny, nx)
 
 
@@ -244,6 +237,7 @@ def test_phase_render_hits_stored_zero_pixel():
     # ragged fourth, as do the 137 rows of the cases above
     pytest.param(181, 275, 1, 20.0, id="mirrored-1"),
     pytest.param(181, 275, 2, 20.0, id="mirrored-2"),
+    pytest.param(181, 275, 5, 20.0, id="mirrored-5"),
 ])
 def test_phase_render_is_batching_invariant(monkeypatch, nx, ny, threads,
                                             top):

@@ -6,6 +6,7 @@ number, since the items are renumbered; and every committed BENCH file
 records what its claim rests on."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import json
@@ -33,9 +34,15 @@ def test_trace_targets_resolve():
     assert tracing.TARGETS and not missing
 
 
+@functools.cache
+def _tree(path):
+    # each file is parsed once per session, whichever checks read it
+    return ast.parse(path.read_text(), str(path))
+
+
 def _unused_imports(path):
     # names a module imports but never reads; __all__ counts as a use
-    tree = ast.parse(path.read_text(), str(path))
+    tree = _tree(path)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -62,7 +69,7 @@ def _unread_locals(path):
     # names a function binds and neither it nor a function nested in it
     # reads; `_` is the name for a value left unread on purpose
     found = set()
-    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+    for fn in ast.walk(_tree(path)):
         if isinstance(fn, ast.FunctionDef):
             names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
             read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
@@ -109,7 +116,7 @@ def test_no_roadmap_item_numbers_in_source():
 def _assigned_constants(path):
     # module-level names bound by an assignment (dunders are read by Python)
     names = []
-    for node in ast.parse(path.read_text(), str(path)).body:
+    for node in _tree(path).body:
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign)
                    else [])
@@ -144,8 +151,7 @@ def _read_names(tree, strings=False):
 
 
 def _parsed(top):
-    return [ast.parse(path.read_text(), str(path))
-            for path in sorted((ROOT / top).rglob("*.py"))]
+    return [_tree(path) for path in sorted((ROOT / top).rglob("*.py"))]
 
 
 def test_no_unread_module_constants():
@@ -172,7 +178,7 @@ def test_no_unread_public_functions():
     for tree in _parsed("perfbench"):
         read |= _read_names(tree, strings=True)
     assert [f"{p.name}:{node.name}" for p in modules
-            for node in ast.parse(p.read_text(), str(p)).body
+            for node in _tree(p).body
             if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("_")
             and node.name not in read] == []
