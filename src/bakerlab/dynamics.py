@@ -123,8 +123,11 @@ class Grid:
     digest: bytes  # sha256 of the canonical params JSON
 
     def counts(self) -> dict[int, int]:
-        vals, cnts = np.unique(self.status, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, cnts)}
+        # the statuses present, in order, one pass each: np.unique sorts
+        # every cell, and np.bincount casts the uint8 cells to intp, a
+        # temporary eight times the raster
+        cnts = [np.count_nonzero(self.status == v) for v in range(4)]
+        return {v: int(c) for v, c in enumerate(cnts) if c}
 
 
 def check_axis_bounds(lo: float, hi: float) -> None:

@@ -334,6 +334,12 @@ def _integrate_segments(segments: list, p: ParamSeq) -> list[complex]:
     of tol and its depth: the left half is popped first, and a panel's two
     halves are evaluated together.  Panels, sums and `NonConvergence` are
     those of a depth-first adaptive run per segment.
+
+    A split with a half that is exactly 0 (`_gk_panels`' ``(0, 0)``)
+    peels off empty integrand: it keeps the depth of its panel, so a
+    segment far longer than the support of e^{-h} reaches that support.
+    Such a split needs a midpoint strictly inside its panel, so the peel
+    ends within the exponent and mantissa range of u.
     """
     for _, _, tol in segments:
         _check_positive("tol", tol)
@@ -359,9 +365,14 @@ def _integrate_segments(segments: list, p: ParamSeq) -> list[complex]:
                     f"quadrature depth limit at u in [{ua}, {um}]")
             left, right = _gk_panels([(z0, dz, ua, um), (z0, dz, um, ub)], p)
             # a half that is 0 at its nodes and ends needs no share of tol
-            share = tol_loc if (0j, 0.0) in (left, right) else 0.5 * tol_loc
-            stack += [(um, ub, share, depth + 1, right),
-                      (ua, um, share, depth + 1, left)]
+            if (0j, 0.0) in (left, right):
+                share = tol_loc
+                depth += not ua < um < ub
+            else:
+                share = 0.5 * tol_loc
+                depth += 1
+            stack += [(um, ub, share, depth, right),
+                      (ua, um, share, depth, left)]
         out.append(total)
     return out
 

@@ -64,6 +64,12 @@ def disk_distance(a: complex, b: complex, d: DiskSpec = UNIT_DISK) -> float:
     u = _normalize(a, d)
     v = _normalize(b, d)
     t = abs(u - v) / abs(1.0 - u * v.conjugate())
+    if t >= 1.0:
+        # t rounds to 1 for two points near opposite edges of the disk:
+        # sinh(d/2) = |u - v| / sqrt((1 - |u|^2)(1 - |v|^2)) does not cancel
+        au, av = abs(u), abs(v)
+        return 2.0 * math.asinh(abs(u - v) / math.sqrt(
+            (1.0 - au) * (1.0 + au) * (1.0 - av) * (1.0 + av)))
     # log((1+t)/(1-t)) in a cancellation-free form
     return 2.0 * math.atanh(t)
 

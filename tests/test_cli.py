@@ -97,6 +97,16 @@ def test_eval_h_and_f(capsys):
     assert (code, lines[0]["value"]) == (0, {"zero": True})
 
 
+def test_eval_g_far_past_the_support(capsys):
+    # g(1e12) is g(10) to double precision: the quadrature peels 37 empty
+    # halves off the segment before it reaches the support of e^{-h}
+    code, lines, _ = run_cli(capsys, "eval", "--profile", "doubling",
+                             "--z", "1e12,0", "--what", "g")
+    assert code == 0
+    assert lines[0]["value"]["re"] == pytest.approx(0.5474911679887613,
+                                                    abs=1e-9)
+
+
 def test_eval_escaped_encodes_log_polar(capsys):
     # |z| >= 2 r_K = 32: no tail bound is claimed
     code, lines, _ = run_cli(capsys, "eval", "--profile", "doubling",

@@ -199,11 +199,11 @@ class TestScalarKernelParity:
         real = _kernels._settled
 
         def recording(x, y, hlm, re_h, flagged, m, *args):
-            ok = real(x, y, hlm, re_h, flagged, m, *args)
+            ok, q = real(x, y, hlm, re_h, flagged, m, *args)
             pick = ok & ~flagged
             states.extend((complex(a, b), m)
                           for a, b in zip(x[pick], y[pick]))
-            return ok
+            return ok, q
 
         monkeypatch.setattr(_kernels, "_settled", recording)
         classify_grid(rect, 64, 64, p, max_steps=steps, escape_radius=64.0)
@@ -245,6 +245,9 @@ class TestGrid:
         c = g.counts()
         assert sum(c.values()) == 41 * 41
         assert set(c) <= {0, 1, 2, 3}
+        # the statuses present, in order, each with its cell count
+        assert list(c.items()) == [(int(v), int(np.count_nonzero(
+            g.status == v))) for v in np.unique(g.status)]
         assert g.digest == params_digest(DOUBLING)
 
     def test_file_roundtrip(self, tmp_path):

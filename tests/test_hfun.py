@@ -328,11 +328,13 @@ class TestG:
         assert eval_g(1.0, DOUBLING) == pytest.approx(
             0.7124048512137005, abs=5e-12)
 
-    @pytest.mark.parametrize("z", [3000.0, -3000.0, 1e6])
+    @pytest.mark.parametrize("z", [3000.0, -3000.0, 1e6, 1e12, -1e12,
+                                   1e300])
     def test_far_real_value_is_that_past_the_support(self, z):
         # e^{-h} underflows to 0 from |t| = 12.8 on, so g(z) is g(+-10);
         # the root panel's first node lies there once |z| >= 3000, and its
-        # 15 values alone would give g = 1
+        # 15 values alone would give g = 1.  From 1e12 on, more than
+        # `_MAX_DEPTH` splits peel off an empty half before the support
         assert abs(eval_g(z, DOUBLING) - eval_g(math.copysign(10.0, z),
                                                 DOUBLING)) <= 1e-9
 

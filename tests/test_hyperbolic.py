@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -26,6 +27,20 @@ def test_unit_disk_distance_closed_form():
     # dist(0, x) = log((1+x)/(1-x)); at x = 1/2 that is log 3
     assert disk_distance(0.0, 0.5) == pytest.approx(math.log(3.0), abs=1e-14)
     assert disk_distance(0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("u, v", [
+    (0.999999999999, -0.999999999999),
+    (1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53)),
+    (0.999999999999j, -0.999999999999j),
+])
+def test_distance_near_opposite_edges_matches_high_precision(u, v):
+    # t = |u - v|/|1 - u conj(v)| rounds to 1.0 here, outside atanh's domain
+    assert abs(u - v) / abs(1.0 - u * v.conjugate()) >= 1.0
+    with mp.workprec(200):
+        a, b = mp.mpc(u), mp.mpc(v)
+        ref = 2 * mp.atanh(abs(a - b) / abs(1 - a * mp.conj(b)))
+    assert disk_distance(u, v) == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_distance_is_mobius_invariant_under_rotation():

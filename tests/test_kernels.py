@@ -393,9 +393,9 @@ def _count_points(monkeypatch, name):
     seen = []
     inner = getattr(_kernels, name)
 
-    def counting(zx, *args):
+    def counting(zx, *args, **kwargs):
         seen.append(np.size(zx))
-        return inner(zx, *args)
+        return inner(zx, *args, **kwargs)
 
     monkeypatch.setattr(_kernels, name, counting)
     return seen
@@ -589,11 +589,33 @@ def _level_points(p, rng, rings=8, angles=512):
     return rad * np.cos(t), rad * np.sin(t)
 
 
+def _edge_points(p):
+    # per factor, on a ray, the two points nearest below, on and above each
+    # of log|w| = +-FAR_EDGE and +-snap_eps as the kernel computes log|w|:
+    # within an ulp of the edge where the degree is small.  The rays of the
+    # snap edges pass through a zero of the factor
+    xs, ys = [], []
+    ulps = 1.0 + np.arange(-512, 513) * _kernels._EPS
+    for n, logr, eps in _kernels.prepared(p):
+        for edge, turn in ((FAR, 1.0), (-FAR, 1.0), (eps, math.pi / n),
+                           (-eps, math.pi / n)):
+            t = math.exp(logr + edge / n) * ulps
+            x, y = t * math.cos(turn), t * math.sin(turn)
+            gap = n * (np.log(np.hypot(x, y)) - logr) - edge
+            for side in (gap < 0.0, gap == 0.0, gap > 0.0):
+                pick = np.flatnonzero(side)
+                pick = pick[np.argsort(np.abs(gap[pick]))[:2]]
+                xs.append(x[pick])
+                ys.append(y[pick])
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 def _split_points(p, rng):
     # first, mixed in seeded order, the last factor's small annulus of
     # `_level_points` with its level points; then log|z| uniform in [-60,
     # 60], then log|w_k| uniform in [-900, 900] about each ring (dead, far
-    # and near factors), and the origin with both signs of zero
+    # and near factors), the regime and snap edges of `_edge_points`, NaN
+    # and infinite coordinates, and the origin with both signs of zero
     n, logr, _ = _kernels.prepared(p)[-1]
     rad = np.exp(logr + rng.uniform(-70.0, -50.0, 256) / n)
     ang = rng.uniform(-math.pi, math.pi, 256)
@@ -606,8 +628,12 @@ def _split_points(p, rng):
         + [r * np.exp(np.clip(rng.uniform(-900.0, 900.0, 64) / k, -60, 60))
            for r, k in zip(p.r, p.n)])
     ang = rng.uniform(-math.pi, math.pi, rad.size)
-    xs += [rad * np.cos(ang), [0.0, -0.0, 0.0, -0.0]]
-    ys += [rad * np.sin(ang), [0.0, 0.0, -0.0, -0.0]]
+    ex, ey = _edge_points(p)
+    nan, inf = math.nan, math.inf
+    xs += [rad * np.cos(ang), ex, [nan, 1.0, nan, inf, -inf, inf, 2.0, nan],
+           [0.0, -0.0, 0.0, -0.0]]
+    ys += [rad * np.sin(ang), ey, [1.0, nan, nan, 0.0, -1.0, inf, -inf, inf],
+           [0.0, 0.0, -0.0, -0.0]]
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -690,17 +716,44 @@ def test_certificate_moves_no_byte(monkeypatch, name):
     def counting(x, y, hlm, re_h, flagged, m, columns, esc2):
         # `_settled` does not test its precondition itself
         screened.append(_screened(x, y, re_h, m, columns[0]).all())
-        ok = real(x, y, hlm, re_h, flagged, m, columns, esc2)
+        ok, q = real(x, y, hlm, re_h, flagged, m, columns, esc2)
         retired.append(np.count_nonzero(ok))
-        return ok
+        return ok, q
 
     monkeypatch.setattr(_kernels, "_settled", counting)
     cells = _kernels._classify_numpy(zx, zy, factors, steps, 64.0)
     assert sum(retired) > 0 and all(screened)
-    monkeypatch.setattr(_kernels, "_settled",
-                        lambda x, *args: np.zeros(x.shape, dtype=bool))
+    # a certificate that never certifies, with the real retry schedule
+    monkeypatch.setattr(_kernels, "_settled", lambda *args: (
+        np.zeros(args[0].shape, dtype=bool), real(*args)[1]))
     assert _sha(*cells) == _sha(*_kernels._classify_numpy(zx, zy, factors,
                                                            steps, 64.0))
+
+
+def _classifier_work(monkeypatch):
+    # the pinned 64x64 grids' digests, their point-steps, and the calls of
+    # `_settled` with the candidates they test
+    seen = _count_points(monkeypatch, "_h_field_numpy")
+    tested = _count_points(monkeypatch, "_settled")
+    digests = [_sha(g.status, g.step) for g in map(_pinned_grid,
+                                                    sorted(GRID_CASES))]
+    return digests, sum(seen), len(tested), sum(tested)
+
+
+def test_certificate_retries_cost_no_point_step(monkeypatch):
+    # a candidate whose margin missed is tested again about half way to
+    # where it would pass; tested on every step instead, no orbit retires
+    # earlier.  (A rule that never retries after a first failure leaves
+    # 38271 point-steps)
+    digests, steps, calls, candidates = _classifier_work(monkeypatch)
+    assert digests == [GRID_DIGESTS[case] for case in sorted(GRID_CASES)]
+    assert (steps, calls, candidates) == (37065, 79, 2141)
+    monkeypatch.undo()
+    monkeypatch.setattr(_kernels, "_retry_step", lambda s, m, q: np.full(
+        q.shape, s + 1, dtype=np.uint32))
+    every = _classifier_work(monkeypatch)
+    assert every[:2] == (digests, steps)
+    assert every[2:] == (116, 3843)
 
 
 def test_appended_factor_moves_only_cells_that_pass_2_r_k():
@@ -816,8 +869,9 @@ def _settled_at(profile, z, hlm, re_h, flagged, m, radius=64.0):
     x, y, lm, re = (np.array([v]) for v in (z.real, z.imag, hlm, re_h))
     columns = _kernels._factor_columns(_kernels.prepared(make_toy(profile)))
     assert _screened(x, y, re, m, columns[0]).all()
-    return bool(_kernels._settled(x, y, lm, re, np.array([flagged]), m,
-                                  columns, radius * radius)[0])
+    ok, _ = _kernels._settled(x, y, lm, re, np.array([flagged]), m, columns,
+                              radius * radius)
+    return bool(ok[0])
 
 
 # a hand-made state at SLOW_START with Re h = -12 and |h| = 20: over 40
