@@ -597,10 +597,7 @@ def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
     step = np.zeros(zx.size, dtype=np.uint32)
     # the active orbits' global indices, positions and the first step at
     # which `_settled` tests them, compacted in order after every step
-    # (the indices in the least unsigned type that holds them, which leaves
-    # room for the retry steps)
-    active = (np.arange(zx.size, dtype=np.min_scalar_type(zx.size)), zx, zy,
-              np.zeros(zx.size, dtype=np.uint32))
+    active = np.arange(zx.size), zx, zy, np.zeros(zx.size, dtype=np.uint32)
     esc2 = escape_radius * escape_radius
     columns = _factor_columns(factors)
     two_n = 2.0 * columns[0].sum()

@@ -364,13 +364,11 @@ def _integrate_segments(segments: list, p: ParamSeq) -> list[complex]:
                 raise NonConvergence(
                     f"quadrature depth limit at u in [{ua}, {um}]")
             left, right = _gk_panels([(z0, dz, ua, um), (z0, dz, um, ub)], p)
-            # a half that is 0 at its nodes and ends needs no share of tol
-            if (0j, 0.0) in (left, right):
-                share = tol_loc
-                depth += not ua < um < ub
-            else:
-                share = 0.5 * tol_loc
-                depth += 1
+            # a half that is 0 at its nodes and ends needs no share of tol,
+            # and peeling it off a panel keeps the panel's depth
+            empty = (0j, 0.0) in (left, right)
+            share = tol_loc if empty else 0.5 * tol_loc
+            depth += not (empty and ua < um < ub)
             stack += [(um, ub, share, depth, right),
                       (ua, um, share, depth, left)]
         out.append(total)

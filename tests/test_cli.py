@@ -98,8 +98,8 @@ def test_eval_h_and_f(capsys):
 
 
 def test_eval_g_far_past_the_support(capsys):
-    # g(1e12) is g(10) to double precision: the quadrature peels 37 empty
-    # halves off the segment before it reaches the support of e^{-h}
+    # g(1e12) is g(10) to double precision: the quadrature peels some 37
+    # empty halves off the segment before it reaches the support of e^{-h}
     code, lines, _ = run_cli(capsys, "eval", "--profile", "doubling",
                              "--z", "1e12,0", "--what", "g")
     assert code == 0
