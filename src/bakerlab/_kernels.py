@@ -52,19 +52,22 @@ factor snaps to its zero; wherever Re h << 0 an orbit creeps by about
 e^{Re h} a step and is settled long before its budget runs out.  Both
 exits are exact: every byte is what the full step loop would write.
 
-A step has a fixed cost per slice of a few hundred numpy calls, so a step
-pays only for work that can change its outcome.  It computes |z| once, for
-the factor pass and for `_settled`'s screen, and skips every mask, `where`
-and concatenation that no point of its slice needs.  `_settled` tests an
-orbit only from the step that its last failure scheduled (`_retry_step`):
-after a margin on Re h missed by the ratio q > 1, about half way to where
-it would pass; after any other failure, on the next step.  The
-certificate is an optional exit, so no schedule can move a byte: an orbit
-tested later runs the full steps meanwhile.  A late test can only cost
-point-steps; on the five escape templates of the benchmark at 256x256 the
-schedule cut `_settled`'s candidates from 163,887 to 65,953 and left the
-point-steps (1,506,643) and certified orbits (25,907) as they were with a
-test on every step.
+A step has a fixed cost per slice of about a hundred numpy calls, so a
+step pays only for work that can change its outcome.  It computes |z|
+once, for the factor pass and for `_settled`'s screen, and skips every
+mask, `where` and concatenation that no point of its slice needs.
+`_settled` tests candidates only on the steps `SETTLED_STRIDE` names, each
+of the first four and every 4th after, and an orbit only from the step
+that its last failure scheduled (`_retry_step`): after a margin on Re h
+missed by the ratio q > 1, about half way to where it would pass; after
+any other failure, on the next step tested.  The certificate is an
+optional exit, so no schedule can move a byte: an orbit tested later runs
+the full steps meanwhile.  A late test can only cost point-steps.  On the
+five escape templates of the benchmark at 256x256, the retry schedule cut
+`_settled`'s candidates from 163,887 to 65,953 and left the point-steps
+(1,506,643) as they were with a test on every step; the stride then cut
+the calls from 960 to 296 at two row bands (512 to 168 at one), each worth
+about 300 point-steps, for 0.91 % more point-steps (1,520,281).
 
 Grid steps and phase portraits share one batch size, `BATCH` = 8192
 points, so their float64 temporaries are 64 KiB each, whatever the size of
@@ -76,14 +79,30 @@ the traced peak of `dynamics.classify_grid` from 10.2-11.3 MiB to 3.8-4.2
 MiB.  Phase portraits evaluate chunks of `BATCH` points
 (`render.render_phase`).
 
-`_h_field_numpy` splits ``arg z`` once per call if some degree needs the
-general compensated product, and evaluates each regime on its own points;
-a regime that holds every point is evaluated on whole-array views, without
-gathers or scatters.  Each factor's regimes come from the batch's least
-and largest log|w|, so a batch inside one regime builds no mask; the snap
-test reads the angle only where the modulus is within the window; and the
-reduction of ``n arg z`` for a power-of-two ``n <= 2**26`` does not test
-its quotient's bound, which ``|arg z| <= pi`` proves.
+`_h_field_numpy` takes the factors in blocks of ``g = BATCH // points``
+of them (at least 1, at most K) as ``(g, points)`` arrays, so a batch of a
+few points pays numpy's fixed cost per call once per block, not once per
+factor: log|w|, the reduction of ``n arg z`` and each regime's
+transcendental pass are one call per block, on at most `BATCH` elements.
+The sums still add the factors one by one, in order: ``acc_lm += lm_k``,
+then ``acc_ag + ag_k`` wrapped.  Every term is an elementwise function of
+its point and factor, so each output bit is that of the loop over factors,
+which is the block of one factor that a batch of `BATCH` points (a
+phase-portrait chunk, a full classifier slice) runs.  A factor whose w is
+small on every point waits for its turn in the sums, is tested against
+them as they stand, as that loop tests it, and is skipped or evaluated
+alone.  At K = 4 (doubling) this cut a call on 16 points from 113 to 54
+µs and on 1000 points from 415 to 361 µs.
+
+Within a block each regime is evaluated on its own elements; a regime that
+holds every element is evaluated on whole-array views, without gathers or
+scatters.  The regimes come from the block's least and largest log|w|, so
+a block inside one regime builds no mask; `_h_field_numpy` splits ``arg
+z`` once per call if some degree needs the general compensated product;
+the snap test reads the angle only where the modulus is within the
+block's widest window; and the reduction of ``n arg z`` for power-of-two
+degrees ``n <= 2**26`` does not test its quotient's bound, which ``|arg
+z| <= pi`` proves.
 
 The compensated angle multiplication is exact only for degrees
 ``n_k < 2**53``; `ParamSeq` enforces that bound.  `_reduce_dd` is the
@@ -126,10 +145,10 @@ FAR_EDGE = 50.0
 # sums; they round away against a sum s with |s| >= _ROUND_AWAY v, since half
 # an ulp of s exceeds 2**-54 |s| >= 2 v, and the 2 also covers an ulp of exp
 _ROUND_AWAY = 2.0 ** 55
-# points per numpy pass, in each classifier step and in each phase-portrait
-# chunk: 64 KiB per float64 temporary, below glibc's 128 KiB mmap threshold,
-# so temporaries are reused from the heap instead of being mapped and
-# faulted in afresh
+# elements per numpy pass, in each classifier step, phase-portrait chunk and
+# block of factors: 64 KiB per float64 temporary, below glibc's 128 KiB mmap
+# threshold, so temporaries are reused from the heap instead of being mapped
+# and faulted in afresh
 BATCH = 8192
 
 
@@ -270,13 +289,13 @@ def _h_point(zx, zy, factors):
 
 
 def _wrap_np(a):
-    # values just past +-pi back into (-pi, pi], as a new array or ``a``
-    # itself; a side runs only if some value needs it (fmax and fmin skip
-    # NaN), and branch-free, since the sums of two angles need it often
-    if np.fmax.reduce(a, initial=-math.inf) > math.pi:
-        a = np.where(a > math.pi, a - TWO_PI, a)
-    if np.fmin.reduce(a, initial=math.inf) <= -math.pi:
-        a = np.where(a <= -math.pi, a + TWO_PI, a)
+    # values just past +-pi back into (-pi, pi], in place; a side runs only
+    # if some value needs it (fmax and fmin skip NaN), and branch-free,
+    # since the sums of two angles need it often
+    if np.fmax.reduce(a, axis=None, initial=-math.inf) > math.pi:
+        np.subtract(a, TWO_PI, out=a, where=a > math.pi)
+    if np.fmin.reduce(a, axis=None, initial=math.inf) <= -math.pi:
+        np.add(a, TWO_PI, out=a, where=a <= -math.pi)
     return a
 
 
@@ -288,8 +307,8 @@ def _reduce_np(x, lo=None, small=False):
     np.rint(q, out=q)
     # NaN fails the bound and takes the general product
     ph, pl = _times_two_pi(q, small or (
-        q.max(initial=0.0) <= _Q_SPLIT_EXACT
-        and q.min(initial=0.0) >= -_Q_SPLIT_EXACT))
+        np.maximum.reduce(q, axis=None, initial=0.0) <= _Q_SPLIT_EXACT
+        and np.minimum.reduce(q, axis=None, initial=0.0) >= -_Q_SPLIT_EXACT))
     r = x - ph
     if lo is not None:
         r += lo
@@ -307,27 +326,62 @@ def _select(mask):
     count = np.count_nonzero(mask)
     if count == 0:
         return None
-    return _ALL if count == mask.size else np.flatnonzero(mask)
+    return _ALL if count == mask.size else mask.nonzero()[0]
 
 
 def _regimes(wlm, lo, hi):
-    # the big, small and near points of a factor, as `_select` gives them,
-    # from the batch's least and largest log|w|: a batch inside one regime
-    # builds no mask.  A NaN, in the near regime, makes lo and hi NaN
+    # the small and near elements of log|w| ``wlm``, as `_select` gives
+    # them, from their least and largest value: the others are big, and
+    # elements inside one regime build no mask.  A NaN, in the near regime,
+    # makes lo and hi NaN
     if -FAR_EDGE < lo and hi < FAR_EDGE:
-        return None, None, _ALL
+        return None, _ALL
     if lo >= FAR_EDGE:
-        return _ALL, None, None
+        return None, None
     if hi <= -FAR_EDGE:
-        return None, _ALL, None
-    big = wlm >= FAR_EDGE
+        return _ALL, None
     small = wlm <= -FAR_EDGE
-    return _select(big), _select(small), _select(~(big | small))
+    return _select(small), _select(~(small | (wlm >= FAR_EDGE)))
+
+
+@functools.lru_cache(maxsize=256)
+def _factor_blocks(factors, g):
+    # the factor table in blocks of at most g factors: per block the
+    # `_factor_columns`, its snap windows flat and their largest, and its
+    # degrees as floats; shared between callers, so read-only
+    blocks = []
+    for i in range(0, len(factors), g):
+        rows = factors[i:i + g]
+        n, logr, eps = _factor_columns(rows)
+        for col in (n, logr, eps):
+            col.flags.writeable = False
+        blocks.append((n, logr, eps.ravel(), max(row[2] for row in rows),
+                       tuple(row[0] for row in rows)))
+    return tuple(blocks)
+
+
+def _angles(n, agz, split, degrees):
+    # arg w = n arg z for the degree column n: the compensated product, then
+    # mod 2*pi.  If every degree is a power of two, the product is exact and,
+    # up to _Q_SPLIT_EXACT, |n arg z| <= n pi bounds the quotient
+    if all(d in _POW2 for d in degrees):
+        return _reduce_np(n * agz, small=max(degrees) <= _Q_SPLIT_EXACT)
+    return _reduce_np(*_split_prod(n, agz, *split))
+
+
+def _small_terms(wlm, wag):
+    # small w: log1p(x) == x and atan2(y, 1 + v cos) == y this far out;
+    # where v underflows to 0 the terms are +-0.0
+    v = np.exp(wlm)
+    return 0.5 * (v * (2.0 * np.cos(wag) + v)), v * np.sin(wag)
 
 
 def _h_field_numpy(zx, zy, factors, az=None):
-    # each factor's three regimes are evaluated on their own points and
-    # added to the sums there; ``az`` is |z| if the caller has it
+    # the factors in blocks of g = BATCH // points, as (g, points) arrays:
+    # each regime takes one pass per block, and the sums add the block's
+    # factors one by one, in order; ``az`` is |z| if the caller has it
+    size = zx.size
+    g = min(len(factors), max(1, BATCH // max(size, 1)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # -inf at the origin, where every factor is in the far field with
         # a small w and adds +-0.0 to the +0.0 accumulators, so h(0) is +0.0
@@ -335,58 +389,91 @@ def _h_field_numpy(zx, zy, factors, az=None):
         agz = np.arctan2(zy, zx)
         split = (None if all(row[0] in _POW2 for row in factors)
                  else _split(agz))
-        acc_lm = np.zeros_like(zx)
-        acc_ag = np.zeros_like(zx)
+        acc_lm = np.zeros(zx.shape)
+        acc_ag = np.zeros(zx.shape)
         zero = np.zeros(zx.shape, dtype=bool)
-        for n, logr, eps in factors:
+        for n, logr, eps, eps_max, degrees in _factor_blocks(factors, g):
             wlm = n * (lmz - logr)
-            hi = wlm.max(initial=-math.inf)
-            if hi <= -FAR_EDGE:
-                # small w on every point (none NaN): the factor is exactly 1
-                # if its terms round away on all of them (or there are none)
-                bound = _ROUND_AWAY * math.exp(hi)
-                if bound == 0.0 or (bound <= np.abs(acc_lm).min()
-                                    and bound <= np.abs(acc_ag).min()):
-                    continue
-            # compensated n*arg, then mod 2*pi; for a power-of-two n the
-            # product is exact and |n arg z| <= n pi bounds the quotient
-            wag = (_reduce_np(n * agz, small=n <= _Q_SPLIT_EXACT)
-                   if n in _POW2
-                   else _reduce_np(*_split_prod(n, agz, *split)))
-            big, small, near = _regimes(wlm, wlm.min(initial=math.inf), hi)
-            if big is not None:
-                # big w: the factor is exactly w
-                acc_lm[big] += wlm[big]
-                acc_ag[big] += wag[big]
-            # small w: where v underflows to 0 its terms are +-0.0
-            if small is not None:
-                v = np.exp(wlm[small])
-                a = wag[small]
-                # log1p(x) == x and atan2(y, 1 + v cos) == y this far out
-                acc_lm[small] += 0.5 * (v * (2.0 * np.cos(a) + v))
-                acc_ag[small] += v * np.sin(a)
-            if near is not None:
-                wn = wlm[near]
-                m = np.exp(wn)
-                a = wag[near]
-                x = 1.0 + m * np.cos(a)
-                y = m * np.sin(a)
-                # snapped to the factor's zero: the angle is read only where
-                # the modulus is within the window
-                close = np.flatnonzero(np.abs(wn) <= eps)
-                if close.size:
-                    hit = close[(math.pi - np.abs(a[close])) <= eps]
-                    zero[hit if near is _ALL else near[hit]] = True
-                acc_lm[near] += np.log(np.hypot(x, y))
-                acc_ag[near] += np.arctan2(y, x)
-            acc_ag = _wrap_np(acc_ag)
+            tops = np.maximum.reduce(wlm, axis=1, initial=-math.inf).tolist()
+            # a factor with a small w on every point (none NaN) waits for
+            # its turn in the sums; the others take the block's passes
+            rest = [k for k, hi in enumerate(tops) if not hi <= -FAR_EDGE]
+            if len(rest) == len(tops):
+                lm, ag = _block_terms(wlm, n, eps, eps_max, degrees, agz,
+                                      split, zero)
+            elif rest:
+                lm, ag = _block_terms(wlm[rest], n[rest], eps[rest], eps_max,
+                                      [degrees[k] for k in rest], agz, split,
+                                      zero)
+            done = 0
+            for k, hi in enumerate(tops):
+                if hi <= -FAR_EDGE:
+                    # the factor is exactly 1 if its terms round away on
+                    # every point (or there are none)
+                    bound = _ROUND_AWAY * math.exp(hi)
+                    if bound == 0.0 or (bound <= np.abs(acc_lm).min()
+                                        and bound <= np.abs(acc_ag).min()):
+                        continue
+                    t_lm, t_ag = _small_terms(
+                        wlm[k], _angles(n[k], agz, split, degrees[k:k + 1]))
+                else:
+                    t_lm = lm[done:done + size]
+                    t_ag = ag[done:done + size]
+                    done += size
+                acc_lm += t_lm
+                acc_ag += t_ag
+                _wrap_np(acc_ag)
 
     # a NaN angle, from a NaN coordinate, makes log|h| NaN too: the step of
     # a big w, exactly w, does not read the angle
     acc_lm[np.isnan(acc_ag)] = np.nan
-    acc_lm[zero] = -np.inf
-    acc_ag[zero] = 0.0
+    if zero.any():
+        acc_lm[zero] = -np.inf
+        acc_ag[zero] = 0.0
     return zero, acc_lm, acc_ag
+
+
+def _block_terms(wlm, n, eps, eps_max, degrees, agz, split, zero):
+    # the terms (log-modulus, angle) of the factors of (g, points) log|w|
+    # ``wlm``, flat, factor after factor, each regime evaluated on its own
+    # elements, which may overwrite wlm; marks in ``zero`` the points where a
+    # factor snaps to its zero
+    size = agz.size
+    wlm = wlm.reshape(-1)
+    wag = _angles(n, agz, split, degrees).reshape(-1)
+    small, near = _regimes(
+        wlm, np.minimum.reduce(wlm, initial=math.inf),
+        np.maximum.reduce(wlm, initial=-math.inf))
+    # big w: the factor is exactly w, so its terms are wlm and wag, arrays
+    # of this block's own, which the other regimes overwrite at theirs
+    lm, ag = wlm, wag
+    if small is not None:
+        t_lm, t_ag = _small_terms(wlm[small], wag[small])
+        if small is _ALL:
+            return t_lm, t_ag
+        lm[small], ag[small] = t_lm, t_ag
+    if near is not None:
+        wn = wlm[near]
+        m = np.exp(wn)
+        a = wag[near]
+        x = 1.0 + m * np.cos(a)
+        y = m * np.sin(a)
+        # snapped to the factor's zero: the angle is read only where the
+        # modulus is within the block's widest window, and each element is
+        # then held to its own factor's
+        close = (np.abs(wn) <= eps_max).nonzero()[0]
+        if close.size:
+            at = close if near is _ALL else near[close]
+            e = eps[at // size]
+            hit = ((np.abs(wn[close]) <= e)
+                   & ((math.pi - np.abs(a[close])) <= e))
+            zero[at[hit] % size] = True
+        t_lm = np.log(np.hypot(x, y))
+        t_ag = np.arctan2(y, x)
+        if near is _ALL:
+            return t_lm, t_ag
+        lm[near], ag[near] = t_lm, t_ag
+    return lm, ag
 
 
 def h_cartesian(lm, ag):
@@ -579,13 +666,23 @@ def _settled(x, y, hlm, re_h, flagged, m, columns, esc2):
                 & (flagged | (hlm - lam2 > LOG_LN2))), q
 
 
+# `_classify_numpy` tests certificate candidates on each of the first
+# SETTLED_STRIDE steps, then on every SETTLED_STRIDE-th step (its price is in
+# the module docstring).  With a test on every step, the first four steps
+# certify 12,417 of the 25,907 orbits on the benchmark's escape templates and
+# a later call a few dozen.  Every 4th step from step 0 alone cost 1.20 %
+# more point-steps (264 calls at two bands), every 3rd 0.84 % (344 calls)
+SETTLED_STRIDE = 4
+
+
 def _retry_step(s, m, q):
-    # the step at which candidates that `_settled` tested at step s, with m
-    # steps left and margin ratios q, are tested again.  The disk's radius
-    # is proportional to the steps left and Lambda* is convex in it, so at
-    # the same z_s and h a margin missed by q > 1 passes, but for the
-    # rounding charge, once m/q steps are left; the retry comes half way
-    # there.  Any other failure (q <= 1, or NaN) is retried on the next step
+    # the step from which candidates that `_settled` tested at step s, with
+    # m steps left and margin ratios q, are tested again, on the first step
+    # that `SETTLED_STRIDE` names.  The disk's radius is proportional to the
+    # steps left and Lambda* is convex in it, so at the same z_s and h a
+    # margin missed by q > 1 passes, but for the rounding charge, once m/q
+    # steps are left; the retry comes half way there.  Any other failure
+    # (q <= 1, or NaN) is retried from the next step
     wait = np.where(q > 1.0, (0.5 * m) * (1.0 - 1.0 / q), 1.0)
     return (s + np.fmax(wait, 1.0)).astype(np.uint32)
 
@@ -601,65 +698,73 @@ def _classify_numpy(zx, zy, factors, max_steps, escape_radius):
     esc2 = escape_radius * escape_radius
     columns = _factor_columns(factors)
     two_n = 2.0 * columns[0].sum()
-    for s in range(max_steps):
-        if active[0].size == 0:
-            break
-        kept = []
-        # each slice of at most BATCH active orbits takes the step on its
-        # own, so the step's temporaries are bounded by the slice
-        for a in range(0, active[0].size, BATCH):
-            idx, x, y, due = (v[a:a + BATCH] for v in active)
-            az = np.hypot(x, y)
-            zero, hlm, hag = _h_field_numpy(x, y, factors, az)
-            # an active orbit has not escaped, so its status is 0 or the flag
-            near = hlm < LOG_LN2
-            if near.any():
-                fresh = idx[near & (status[idx] == STATUS_BOUNDED)]
-                status[fresh] = STATUS_NEAR_ZERO
-                step[fresh] = s
-            re_h, im_h = h_cartesian(hlm, hag)
-            with np.errstate(over="ignore", invalid="ignore"):
-                # an orbit with Re h beyond the band escapes whatever its
-                # step computes, so that step may overflow or be NaN: it is
-                # dropped and nothing computed for it is read
-                emod = np.exp(re_h)
-                # `_settled`'s precondition, N delta <= 1/2: only orbits
-                # that pass this screen are candidates
-                m = max_steps - s
-                slow = (RHO_PER_STEP * m) * emod * two_n <= az
-                # a step that underflows to 0 leaves the orbit where it is,
-                # so it freezes, whatever its angle: past |Im h| ~ 1.3e300
-                # the reduction's split overflows and the angle is NaN
-                ia = _reduce_np(im_h if emod.all()
-                                else np.where(emod == 0.0, 0.0, im_h))
-                nx = x + emod * np.cos(ia)
-                # at a snapped zero the step is exactly +1; adding sin(0) to
-                # y would turn a -0.0 into +0.0
-                ny = y + emod * np.sin(ia)
-                if zero.any():
-                    ny = np.where(zero, y, ny)
-                out = (re_h > CARTESIAN_BAND) | (nx * nx + ny * ny > esc2)
-            gone = idx[out]
-            status[gone] |= STATUS_ESCAPED
-            step[gone] = s + 1
-            # frozen at a floating-point fixed point: every later step
-            # repeats this one, so the orbit never escapes and its flag is
-            # final
-            frozen = (nx == x) & (ny == y)
-            keep = ~(out | frozen)
-            # orbits certified final for the m steps left retire like frozen
-            # ones; the others wait for their retry step
-            cand = np.flatnonzero(keep & slow & (due <= s))
-            if cand.size:
-                ok, q = _settled(x[cand], y[cand], hlm[cand], re_h[cand],
-                                 status[idx[cand]] != STATUS_BOUNDED, m,
-                                 columns, esc2)
-                keep[cand[ok]] = False
-                due[cand] = _retry_step(s, m, q)
-            kept.append((idx[keep], nx[keep], ny[keep], due[keep]))
-        active = (kept[0] if len(kept) == 1
-                  else tuple(np.concatenate(v) for v in zip(*kept)))
+    # an orbit with Re h beyond the band escapes whatever its step computes,
+    # so that step may overflow or be NaN: it is dropped and nothing computed
+    # for it is read
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(max_steps):
+            if active[0].size == 0:
+                break
+            kept = []
+            # each slice of at most BATCH active orbits takes the step on its
+            # own, so the step's temporaries are bounded by the slice
+            for a in range(0, active[0].size, BATCH):
+                kept.append(_step(s, max_steps, *(v[a:a + BATCH]
+                                                  for v in active),
+                                  status, step, factors, columns, two_n,
+                                  esc2))
+            active = (kept[0] if len(kept) == 1
+                      else tuple(np.concatenate(v) for v in zip(*kept)))
     return status, step
+
+
+def _step(s, max_steps, idx, x, y, due, status, step, factors, columns,
+          two_n, esc2):
+    # step s of `_classify_numpy` on one slice of active orbits: writes the
+    # flags and steps it decides, returns the slice's survivors
+    az = np.hypot(x, y)
+    zero, hlm, hag = _h_field_numpy(x, y, factors, az)
+    # an active orbit has not escaped, so its status is 0 or the flag
+    near = hlm < LOG_LN2
+    if near.any():
+        fresh = idx[near & (status[idx] == STATUS_BOUNDED)]
+        status[fresh] = STATUS_NEAR_ZERO
+        step[fresh] = s
+    re_h, im_h = h_cartesian(hlm, hag)
+    emod = np.exp(re_h)
+    # a step that underflows to 0 leaves the orbit where it is, so it
+    # freezes, whatever its angle: past |Im h| ~ 1.3e300 the reduction's
+    # split overflows and the angle is NaN
+    ia = _reduce_np(im_h if emod.all() else np.where(emod == 0.0, 0.0, im_h))
+    nx = x + emod * np.cos(ia)
+    # at a snapped zero the step is exactly +1; adding sin(0) to y would
+    # turn a -0.0 into +0.0
+    ny = y + emod * np.sin(ia)
+    if zero.any():
+        ny = np.where(zero, y, ny)
+    out = (re_h > CARTESIAN_BAND) | (nx * nx + ny * ny > esc2)
+    gone = idx[out]
+    status[gone] |= STATUS_ESCAPED
+    step[gone] = s + 1
+    # frozen at a floating-point fixed point: every later step repeats this
+    # one, so the orbit never escapes and its flag is final
+    keep = ~(out | ((nx == x) & (ny == y)))
+    # on the steps `SETTLED_STRIDE` names, orbits certified final for the m
+    # steps left retire like frozen ones; the others wait for their retry
+    # step
+    if s < SETTLED_STRIDE or s % SETTLED_STRIDE == 0:
+        m = max_steps - s
+        # `_settled`'s precondition, N delta <= 1/2: only orbits that pass
+        # this screen are candidates
+        slow = (RHO_PER_STEP * m) * emod * two_n <= az
+        cand = (keep & slow & (due <= s)).nonzero()[0]
+        if cand.size:
+            ok, q = _settled(x[cand], y[cand], hlm[cand], re_h[cand],
+                             status[idx[cand]] != STATUS_BOUNDED, m, columns,
+                             esc2)
+            keep[cand[ok]] = False
+            due[cand] = _retry_step(s, m, q)
+    return idx[keep], nx[keep], ny[keep], due[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,23 @@ class TestG:
         assert abs(eval_g(z, DOUBLING) - eval_g(math.copysign(10.0, z),
                                                 DOUBLING)) <= 1e-9
 
+    def test_far_peel_is_evaluated_in_runs(self, monkeypatch):
+        # 993 splits peel an empty half off [0, 1e300] before the support,
+        # one `_gk_panels` call each before they were evaluated in runs;
+        # g keeps its bits, those of g(1e9) and g(1e12)
+        calls = []
+        inner = hfun._gk_panels
+
+        def counting(batch, p):
+            calls.append(len(batch))
+            return inner(batch, p)
+
+        monkeypatch.setattr(hfun, "_gk_panels", counting)
+        g = eval_g(1e300, DOUBLING)
+        assert len(calls) <= 40
+        assert repr(g) == "(0.5474911679887622-0j)"
+        assert [repr(eval_g(z, DOUBLING)) for z in (1e9, 1e12)] == [repr(g)] * 2
+
     def test_value_at_zero_is_one_with_a_plus_zero_imaginary_part(self):
         # the quadrature path would give exp(-0j) = 1 - 0j
         g = eval_g(0.0, DOUBLING)

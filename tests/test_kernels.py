@@ -297,10 +297,10 @@ GRID_256_DIGEST = (
     "f679c2accc28d3753cac04884ab29a0ed8c91157e0fb6b5fca295a7432e9e373")
 
 
-def _pinned_grid(case, nx=64, ny=64):
+def _pinned_grid(case, nx=64, ny=64, threads=1):
     rect, profile, steps = GRID_CASES[case]
     return classify_grid(rect, nx, ny, make_toy(profile), max_steps=steps,
-                         escape_radius=64.0, threads=1)
+                         escape_radius=64.0, threads=threads)
 
 
 def _regime_points(p):
@@ -410,7 +410,7 @@ def test_stall_exit_skips_frozen_orbits(monkeypatch):
     assert np.count_nonzero(np.isin(g.status, (0, 2))) > 0.4 * g.nx * g.ny
     assert sum(seen) < budget // 4
     # frozen orbits alone leave 38166 point-steps; slow orbits retired by
-    # `_settled` bring them to 21720
+    # `_settled` bring them to 22038
     assert sum(seen) < 24000
 
 
@@ -428,7 +428,7 @@ def test_classify_is_batching_invariant(monkeypatch, batch):
     assert max(seen) == min(batch, 64 * 64)
     # two steep-off-axis orbits retire on the step whose e^{Re h}
     # underflows to 0, as `test_orbit_whose_step_underflows_freezes_at_once`
-    assert sum(seen) == 37065
+    assert sum(seen) == 37450
 
 
 def test_classify_memory_is_bounded():
@@ -639,13 +639,14 @@ def _split_points(p, rng):
 
 @pytest.mark.parametrize("name", PROFILE_NAMES)
 def test_h_field_bytes_do_not_depend_on_the_split(name):
-    # regimes, `_ALL` views and the whole-batch skip of a small factor are
-    # decided per batch; one batch, seeded cuts and single points must give
-    # the same bytes
+    # regimes, `_ALL` views, the whole-batch skip of a small factor and the
+    # factor blocks (BATCH // points factors a pass) are decided per batch;
+    # one batch, seeded cuts and single points must give the same bytes
     p = make_toy(name)
     rng = np.random.default_rng(37)
     zx, zy = _split_points(p, rng)
-    whole = _sha(*_kernels.h_field(zx, zy, p))
+    field = _kernels.h_field(zx, zy, p)
+    whole = _sha(*field)
     cuts = np.unique(rng.integers(1, zx.size, 16))
     parts = [_kernels.h_field(x, y, p)
              for x, y in zip(np.split(zx, cuts), np.split(zy, cuts))]
@@ -653,6 +654,20 @@ def test_h_field_bytes_do_not_depend_on_the_split(name):
     points = [_kernels.h_field(zx[i:i + 1], zy[i:i + 1], p)
               for i in range(zx.size)]
     assert _sha(*map(np.concatenate, zip(*points))) == whole
+    # the points repeated past BATCH, one factor a block, and cut into a
+    # point and, for each g from 1 to K, parts of BATCH // g points, in
+    # blocks of g factors, and of BATCH // g + 1, in blocks of g - 1 (or 1):
+    # a block after the first starts from sums that are not 0
+    sizes = [1] + [_kernels.BATCH // g + extra
+                   for g in range(1, len(p.n) + 1) for extra in (0, 1)]
+    reps = -(-sum(sizes) // zx.size) + 1
+    tx, ty = np.tile(zx, reps), np.tile(zy, reps)
+    tiled = _sha(*(np.tile(a, reps) for a in field))
+    assert _sha(*_kernels.h_field(tx, ty, p)) == tiled
+    cuts = np.cumsum(sizes)
+    parts = [_kernels.h_field(x, y, p)
+             for x, y in zip(np.split(tx, cuts), np.split(ty, cuts))]
+    assert _sha(*map(np.concatenate, zip(*parts))) == tiled
 
 
 # ---------------------------------------------------------------------------
@@ -730,30 +745,41 @@ def test_certificate_moves_no_byte(monkeypatch, name):
                                                            steps, 64.0))
 
 
-def _classifier_work(monkeypatch):
-    # the pinned 64x64 grids' digests, their point-steps, and the calls of
-    # `_settled` with the candidates they test
+def _classifier_work(monkeypatch, threads):
+    # the pinned 64x64 grids' digests at ``threads`` row bands, and their
+    # point-steps with the calls of `_settled` and the candidates they test
     seen = _count_points(monkeypatch, "_h_field_numpy")
     tested = _count_points(monkeypatch, "_settled")
-    digests = [_sha(g.status, g.step) for g in map(_pinned_grid,
-                                                    sorted(GRID_CASES))]
-    return digests, sum(seen), len(tested), sum(tested)
+    digests = [_sha(g.status, g.step) for g in (
+        _pinned_grid(case, threads=threads) for case in sorted(GRID_CASES))]
+    return digests, (sum(seen), len(tested), sum(tested))
 
 
-def test_certificate_retries_cost_no_point_step(monkeypatch):
-    # a candidate whose margin missed is tested again about half way to
-    # where it would pass; tested on every step instead, no orbit retires
-    # earlier.  (A rule that never retries after a first failure leaves
-    # 38271 point-steps)
-    digests, steps, calls, candidates = _classifier_work(monkeypatch)
+# per row-band count: (point-steps, `_settled` calls, candidates) with the
+# certificate's schedule, and (calls, candidates) with a test of every active
+# orbit on every step
+CLASSIFIER_WORK = {1: ((37450, 34, 1053), (116, 3843)),
+                   2: ((37450, 56, 1053), (196, 3843))}
+
+
+@pytest.mark.parametrize("threads", sorted(CLASSIFIER_WORK))
+def test_certificate_schedule_keeps_bytes_for_pinned_work(monkeypatch,
+                                                          threads):
+    # `_settled` runs on the steps SETTLED_STRIDE names, and a candidate
+    # whose margin missed is tested again about half way to where it would
+    # pass.  Tested on every step instead, the grids keep their bytes and
+    # retire their orbits 385 point-steps sooner.  (A rule that never retries
+    # after a first failure leaves 38360 point-steps)
+    digests, work = _classifier_work(monkeypatch, threads)
     assert digests == [GRID_DIGESTS[case] for case in sorted(GRID_CASES)]
-    assert (steps, calls, candidates) == (37065, 79, 2141)
+    assert work == CLASSIFIER_WORK[threads][0]
     monkeypatch.undo()
+    monkeypatch.setattr(_kernels, "SETTLED_STRIDE", 1)
     monkeypatch.setattr(_kernels, "_retry_step", lambda s, m, q: np.full(
         q.shape, s + 1, dtype=np.uint32))
-    every = _classifier_work(monkeypatch)
-    assert every[:2] == (digests, steps)
-    assert every[2:] == (116, 3843)
+    every, every_work = _classifier_work(monkeypatch, threads)
+    assert every == digests
+    assert every_work == (work[0] - 385, *CLASSIFIER_WORK[threads][1])
 
 
 def test_appended_factor_moves_only_cells_that_pass_2_r_k():
