@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,9 +180,12 @@ def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
     so beyond the chunk they cost at most two rows.  Only the row prefix
     ``0 .. rows - 1`` is evaluated (every row by default); the sampling is
     still that of the whole ny-row grid, from the lowest imaginary part up.
-    The evaluated rows split into ``min(threads, rows, MAX_BANDS)`` bands;
-    with more than one, the bands run one after another on a single pool
-    thread, whatever their number.  Concurrent bands never paid: numpy
+    The evaluated rows split into ``min(threads, rows, MAX_BANDS)`` bands.
+    One band runs on the calling thread.  With more than one, the bands run
+    one after another on a single pool thread, whatever their number, and
+    only then is `concurrent.futures` imported: a one-band process never
+    loads the pool module and the logging and queue modules it brings
+    (0.65 MiB of the phase_portrait benchmark's peak RSS).  Concurrent bands never paid: numpy
     releases the interpreter lock around each loop over about 500 elements
     or more, so they handed it over on nearly every numpy call, and each
     thread brought a malloc arena of its own that raised the peak heap
@@ -212,6 +214,8 @@ def run_row_bands(rect: tuple[complex, complex], nx: int, ny: int,
     if len(bands) == 1:
         run_band(bands[0])
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     # submit, not map: map cancels the bands not yet started once one
     # fails; here every band runs and the first failure is raised
     with ThreadPoolExecutor(max_workers=1) as pool:

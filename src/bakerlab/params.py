@@ -16,7 +16,6 @@ is why the built-in profiles are desk-scale stand-ins.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -212,4 +211,7 @@ def params_to_json(p: ParamSeq) -> str:
 
 def params_digest(p: ParamSeq) -> bytes:
     """32-byte SHA-256 of the canonical JSON; stamped into grid files."""
+    # imported here: OpenSSL's hash module loads only when a grid is stamped
+    import hashlib
+
     return hashlib.sha256(params_to_json(p).encode("ascii")).digest()

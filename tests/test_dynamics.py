@@ -1,11 +1,17 @@
 """Orbit iteration, grid classification, grid file IO, determinism."""
 
 import cmath
+import concurrent.futures
 import hashlib
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -450,7 +456,9 @@ class TestThreads:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
         monkeypatch.setattr(_FakePool, "bands", [])
-        monkeypatch.setattr(dynamics, "ThreadPoolExecutor", _FakePool)
+        # run_row_bands imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            _FakePool)
 
     @staticmethod
     def _bands(ny, threads):
@@ -488,3 +496,39 @@ class TestThreads:
         assert not out.exists() and "thread count" in capsys.readouterr().err
         assert cli.main(argv + ["--threads", "1000000"]) == 0
         assert _FakePool.bands == [dynamics.MAX_BANDS]
+
+
+_LAZY_IMPORTS = """
+import json, sys
+from bakerlab import classify_grid, eval_h, make_toy, render_phase
+seen = {}
+def probe(when):
+    seen[when] = {m: m in sys.modules
+                  for m in ("concurrent.futures", "_hashlib")}
+probe("import")
+p = make_toy("doubling")
+eval_h(0.5 + 0.25j, p)
+render_phase((-1 - 1j, 1 + 1j), 4, 4, p)
+probe("phase")
+classify_grid((-1 - 1j, 1 + 1j), 4, 4, p, max_steps=2, threads=1)
+probe("one band")
+classify_grid((-1 - 1j, 1 + 1j), 4, 4, p, max_steps=2, threads=2)
+probe("two bands")
+print(json.dumps(seen))
+"""
+
+
+def test_one_band_loads_no_pool_and_no_hash_module():
+    # in a fresh interpreter: the pool module loads only for a multi-band
+    # call, and OpenSSL's hash module only when a grid is stamped
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout)
+    assert seen["import"] == seen["phase"] == {
+        "concurrent.futures": False, "_hashlib": False}
+    assert not seen["one band"]["concurrent.futures"]
+    assert seen["two bands"]["concurrent.futures"]
